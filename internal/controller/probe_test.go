@@ -26,7 +26,7 @@ func tinySpec() *workload.Spec {
 
 func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 	d := arch.POWER7()
-	res, err := Probe(context.Background(), d, 1, tinySpec(), 42)
+	res, err := (&Prober{}).Probe(context.Background(), d, 1, tinySpec(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 		t.Fatalf("non-finite probe metric %+v", res.Metric)
 	}
 	// Determinism: the same seed reproduces the same observation.
-	res2, err := Probe(context.Background(), d, 1, tinySpec(), 42)
+	res2, err := (&Prober{}).Probe(context.Background(), d, 1, tinySpec(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 func TestProbeHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Probe(ctx, arch.POWER7(), 1, tinySpec(), 42)
+	_, err := (&Prober{}).Probe(ctx, arch.POWER7(), 1, tinySpec(), 42)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -69,7 +69,7 @@ func TestProbeReturnsPartialResult(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	res, err := Probe(ctx, arch.POWER7(), 1, spec, 42)
+	res, err := (&Prober{}).Probe(ctx, arch.POWER7(), 1, spec, 42)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, cpu.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}

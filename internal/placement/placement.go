@@ -410,14 +410,25 @@ func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api
 }
 
 // assemble runs the solver and renders the response. Pairs the scoring
-// pass did not reach (partial path) contribute zero to the objective —
-// the solver still produces a legal assignment.
+// pass did not reach (partial path) take the worst score it did gather:
+// lower is better, so an unmeasured pair is never preferred to a measured
+// one. A full pass scores every pair that can share a core, so the prior
+// only ever applies to partial placements.
 func (e *Engine) assemble(in *Input, scores []api.PairScore, matrix map[pair]float64) (api.PlaceResponse, error) {
+	var worst float64
+	for k, ps := range scores {
+		if k == 0 || ps.Score > worst {
+			worst = ps.Score
+		}
+	}
 	score := func(i, j int) float64 {
 		if i > j {
 			i, j = j, i
 		}
-		return matrix[pair{i, j}]
+		if v, ok := matrix[pair{i, j}]; ok {
+			return v
+		}
+		return worst
 	}
 	cores, total, err := solve(in, score)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -241,5 +242,41 @@ func TestPartialOnCancel(t *testing.T) {
 	}
 	if len(resp.PairScores) != 0 {
 		t.Fatalf("canceled-before-scoring Place reported %d pair scores", len(resp.PairScores))
+	}
+}
+
+// TestPartialPrefersMeasuredPairs: a deadline-cut scoring pass leaves
+// some pairs unmeasured. An unmeasured pair must not count as a free
+// (zero-score) pairing — lower scores win, so that would co-locate exactly
+// the pairs the engine knows least about. It takes the worst measured
+// score instead, and the solver keeps to the measured pairings.
+func TestPartialPrefersMeasuredPairs(t *testing.T) {
+	in := resolveT(t, api.PlaceRequest{
+		Seed:       7,
+		MaxPerCore: 2,
+		Workloads: []api.PlaceWorkload{
+			{Name: "a", Spec: testSpec("a", 0), Threads: 8},
+			{Name: "b", Spec: testSpec("b", 2), Threads: 8},
+		},
+	})
+	// Both self-pairs were scored before the deadline; a×b was not.
+	scores := []api.PairScore{{A: "a", B: "a", Score: 0.2}, {A: "b", B: "b", Score: 0.4}}
+	matrix := map[pair]float64{{0, 0}: 0.2, {1, 1}: 0.4}
+	resp, err := (&Engine{}).assemble(in, scores, matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range resp.Assignments {
+		var hasA, hasB bool
+		for _, th := range a.Threads {
+			hasA = hasA || th == "a"
+			hasB = hasB || th == "b"
+		}
+		if hasA && hasB {
+			t.Fatalf("core %d/%d co-locates the unscored pair a×b: %+v", a.Chip, a.Core, resp.Assignments)
+		}
+	}
+	if want := 4*0.2 + 4*0.4; math.Abs(resp.TotalScore-want) > 1e-9 {
+		t.Fatalf("total score %v, want %v", resp.TotalScore, want)
 	}
 }

@@ -28,7 +28,6 @@ func newShard(t *testing.T) *httptest.Server {
 		Workers:        2,
 		QueueDepth:     8,
 		RequestTimeout: 10 * time.Second,
-		CoalesceWindow: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/api"
 	"repro/internal/arch"
-	"repro/internal/controller"
-	"repro/internal/cpu"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -112,17 +108,15 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("metric|%s|%016x|%016x", d.Name, math.Float64bits(th), req.Snapshot.Fingerprint())
-	cached, fresh, found := s.cacheGet(r.Context(), key)
-	if found && fresh {
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, cached)
+	stale, done := s.recs.lookup(r.Context(), w, key)
+	if done {
 		return
 	}
-	var stale *Recommendation
-	if found {
-		stale = &cached
-	}
-	if !s.admit(r.Context(), w, stale) {
+	// Scoring a snapshot costs microseconds, so metric requests take a
+	// worker slot directly instead of coalescing on a flight; admission
+	// failure falls down the same ladder as a flight's.
+	if err := s.acquire(r.Context()); err != nil {
+		s.recs.render(w, &flight[Recommendation]{err: err}, stale)
 		return
 	}
 	defer s.lim.release()
@@ -136,14 +130,15 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 	if measured != d.MaxSMT {
 		rec.Warning = fmt.Sprintf("snapshot measured at SMT%d: the metric is only reliable at the maximum level SMT%d", measured, d.MaxSMT)
 	}
-	s.cacheAdd(r.Context(), key, rec)
+	s.recs.cacheAdd(r.Context(), key, rec)
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleAnalyze serves POST /v1/analyze. The probe path degrades
-// gracefully: a stale cached recommendation (or, failing that, the partial
-// probe result) answers the request — marked degraded — when the probe is
-// cut off by the circuit breaker, saturation or the request deadline.
+// handleAnalyze serves POST /v1/analyze: a max-SMT probe of the described
+// workload, served through the shared ladder. A stale cached
+// recommendation (or, failing that, the partial probe result) answers the
+// request — marked degraded — when the probe is cut off by the circuit
+// breaker, saturation or the request deadline.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -194,182 +189,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("analyze|%s|%d|%d|%016x|%016x",
 		d.Name, chips, req.Seed, math.Float64bits(th), xrand.HashBytes(specJSON))
-	cached, fresh, found := s.cacheGet(r.Context(), key)
-	if found && fresh {
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var stale *Recommendation
-	if found {
-		stale = &cached
-	}
-
-	if s.cfg.CoalesceWindow < 0 {
-		// Coalescing disabled: this request runs a private flight.
-		f := &flight[probeOutcome]{}
-		f.val.rec, f.val.res, f.err = s.runProbeFlight(r.Context(), key, d, chips, spec, req.Seed, th)
-		s.serveFlight(w, f, d, spec, th, stale)
-		return
-	}
-	f, leader := s.flights.join(key)
-	if !leader {
-		// Waiter: park for the leader's outcome, holding no worker slot.
-		s.met.coalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			s.met.timeouts.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "request expired awaiting coalesced probe")
-				return
-			}
-			writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "request expired awaiting coalesced probe: %v", r.Context().Err())
-			return
-		}
-		s.serveFlight(w, f, d, spec, th, stale)
-		return
-	}
-	s.met.flights.Add(1)
-	f.val.rec, f.val.res, f.err = s.runProbeFlight(r.Context(), key, d, chips, spec, req.Seed, th)
-	s.flights.finish(key, f)
-	s.serveFlight(w, f, d, spec, th, stale)
-}
-
-// runProbeFlight runs the leader's side of one probe flight: cache
-// double-check, admission, breaker gate, batch-admission window, the probe
-// itself, breaker bookkeeping and the cache insert. It never writes a
-// response — the outcome fans out through the flight, and serveFlight maps
-// it onto each waiting request individually.
-func (s *Server) runProbeFlight(ctx context.Context, key string, d *arch.Desc, chips int, spec *workload.Spec, seed uint64, th float64) (Recommendation, controller.ProbeResult, error) {
-	// Double-check the cache under flight leadership: a previous flight for
-	// this key may have completed between this request's cache miss and its
-	// join, and that freshly cached answer must win over a duplicate probe.
-	if cached, fresh, found := s.cacheGet(ctx, key); found && fresh {
-		cached.Cached = true
-		return cached, controller.ProbeResult{}, nil
-	}
-	if err := s.lim.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			return Recommendation{}, controller.ProbeResult{}, errFlightShed
-		}
-		return Recommendation{}, controller.ProbeResult{}, fmt.Errorf("%w: %v", errFlightExpired, err)
-	}
-	defer s.lim.release()
-	// The breaker gate sits after admission so a half-open trial that wins
-	// the gate always runs (and therefore always reports back): every probe
-	// below passes through onSuccess, onFailure or onNeutral.
-	if !s.brk.allow() {
-		return Recommendation{}, controller.ProbeResult{}, errFlightBreaker
-	}
-	var res controller.ProbeResult
-	var err error
-	if s.batch != nil {
-		// Batching on: the admission window is spent inside the batch
-		// group, draining concurrent distinct probes of this machine shape
-		// into one batched pass (batch.go).
-		res, err = s.batchProbe(ctx, d, chips, spec, seed)
-	} else {
-		if win := s.cfg.CoalesceWindow; win > 0 {
-			// Batch admission: hold the probe back so the rest of a burst can
-			// still join this flight instead of racing it to completion. An
-			// expiring context just falls through — the probe fails fast and the
-			// outcome takes the normal aborted-probe path.
-			t := time.NewTimer(win)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-			t.Stop()
-		}
+	s.recs.serve(w, r, key, func(ctx context.Context) (Recommendation, string, error) {
 		s.met.probes.Add(1)
-		res, err = s.probe(ctx, d, chips, spec, seed)
-	}
-	if err != nil {
-		timedOut := errors.Is(err, context.DeadlineExceeded)
-		canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-		// A client that went away is not a sick probe; only deadline and
-		// organic failures count against the breaker.
-		if timedOut || !canceled {
-			s.brk.onFailure()
-		} else {
-			s.brk.onNeutral()
+		res, err := s.probe(ctx, d, chips, spec, req.Seed)
+		if err != nil && (!aborted(err) || res.Snapshot.Retired == 0) {
+			return Recommendation{}, "", err
 		}
-		return Recommendation{}, res, err
-	}
-	s.brk.onSuccess()
-	rec := decide(d, d.MaxSMT, res.Metric, th)
-	rec.WallCycles = res.WallCycles
-	rec.Bench = spec.Name
-	rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
-	s.cacheAdd(ctx, key, rec)
-	return rec, res, nil
-}
-
-// serveFlight maps one flight outcome onto one request's response,
-// applying that request's own degradation fallback (its stale cached
-// answer, if any). Breaker bookkeeping already happened exactly once in
-// runProbeFlight; here the outcome only has to be rendered.
-func (s *Server) serveFlight(w http.ResponseWriter, f *flight[probeOutcome], d *arch.Desc, spec *workload.Spec, th float64, stale *Recommendation) {
-	switch {
-	case f.err == nil:
-		writeJSON(w, http.StatusOK, f.val.rec)
-	case errors.Is(f.err, errFlightShed):
-		s.met.shed.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, "server saturated")
-			return
+		rec := decide(d, d.MaxSMT, res.Metric, th)
+		rec.WallCycles = res.WallCycles
+		rec.Bench = spec.Name
+		rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
+		if err != nil {
+			// The deadline cut the probe short but completed interval
+			// data exists (cpu.RunContext semantics): salvage it.
+			return rec, fmt.Sprintf("partial probe: deadline expired after %d simulated cycles", res.WallCycles), err
 		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
-	case errors.Is(f.err, errFlightExpired):
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, "request expired while queued")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "%v", f.err)
-	case errors.Is(f.err, errFlightBreaker):
-		if stale != nil {
-			s.serveStale(w, *stale, "probe circuit breaker open")
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, api.CodeBreakerOpen, "probe circuit breaker open, retry later")
-	default:
-		s.probeDegrade(w, f.err, f.val.res, d, spec, th, stale)
-	}
-}
-
-// probeDegrade routes a failed probe through the degradation ladder:
-// serve a stale cached answer, else a partial-probe answer, else the
-// api.Error envelope for the failure class.
-func (s *Server) probeDegrade(w http.ResponseWriter, err error, res controller.ProbeResult, d *arch.Desc, spec *workload.Spec, th float64, stale *Recommendation) {
-	timedOut := errors.Is(err, context.DeadlineExceeded)
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-	if timedOut || canceled {
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, fmt.Sprintf("probe aborted (%v)", err))
-			return
-		}
-		if res.Snapshot.Retired > 0 {
-			// The deadline cut the probe short but completed interval data
-			// exists (cpu.RunContext semantics): answer from it rather
-			// than discarding the work.
-			rec := decide(d, d.MaxSMT, res.Metric, th)
-			rec.WallCycles = res.WallCycles
-			rec.Bench = spec.Name
-			rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
-			s.servePartial(w, rec, res.WallCycles)
-			return
-		}
-		writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "probe aborted: %v", err)
-		return
-	}
-	if stale != nil {
-		s.serveStale(w, *stale, fmt.Sprintf("probe failed (%v)", err))
-		return
-	}
-	writeError(w, http.StatusInternalServerError, api.CodeProbeFailed, "probe failed: %v", err)
+		return rec, "", nil
+	})
 }

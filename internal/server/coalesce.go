@@ -3,9 +3,6 @@ package server
 import (
 	"errors"
 	"sync"
-
-	"repro/api"
-	"repro/internal/controller"
 )
 
 // Probe coalescing: the experiments Runner's singleflight idiom lifted into
@@ -18,47 +15,41 @@ import (
 // slot) and is fanned the leader's outcome when the flight closes. A burst
 // of K identical analyze calls therefore costs exactly one simulation and
 // one worker, which is what lets a shard absorb same-workload stampedes.
-//
-// The batch-admission window (Config.CoalesceWindow) widens the net: a
-// leader that has admission holds the probe back for the window so that a
-// burst spread over a few milliseconds still lands in one flight instead
-// of racing the first probe to completion.
+// With the cache on, a straggler that arrives after the flight closed
+// finds the leader's answer in the cache (first lookup or the leader's
+// double-check), so it does not probe again either.
 //
 // Determinism contract: coalescing only changes who computes, never what.
-// The fanned-out Recommendation is the leader's, byte for byte, and the
-// probe itself is the same seeded simulation a solo request would have
-// run — so responses are bit-identical whether a burst was coalesced or
-// served one by one (and whether it hit 1 shard or N; see internal/router).
+// The fanned-out answer is the leader's, byte for byte, and the probe
+// itself is the same seeded simulation a solo request would have run — so
+// responses are bit-identical whether a burst was coalesced or served one
+// by one (and whether it hit 1 shard or N; see internal/router).
 
-// Leader-outcome sentinels: the leader could not probe at all, so each
-// waiter re-runs its own degradation choice (stale fallback or the mapped
-// error) instead of inheriting a probe failure that never happened.
+// Ladder sentinels: the request (or its flight's leader) could not
+// compute at all, so each request re-runs its own degradation choice
+// (stale fallback or the mapped error) instead of inheriting a failure
+// that never happened.
 var (
-	// errFlightShed: the leader found every worker and queue slot occupied.
-	errFlightShed = errors.New("server: coalesced leader shed")
-	// errFlightExpired: the leader's deadline expired while it queued.
-	errFlightExpired = errors.New("server: coalesced leader expired in queue")
+	// errFlightShed: every worker and queue slot was occupied.
+	errFlightShed = errors.New("server: worker queue full")
+	// errFlightExpired: the deadline expired while queued for a worker.
+	errFlightExpired = errors.New("request expired while queued")
 	// errFlightBreaker: the probe circuit breaker was open.
 	errFlightBreaker = errors.New("server: probe circuit breaker open")
 )
 
-// probeOutcome is the payload of an analyze flight: the rendered
-// recommendation plus the raw probe result the degradation ladder may
-// salvage a partial answer from.
-type probeOutcome struct {
-	rec api.Recommendation
-	res controller.ProbeResult
-}
-
-// flight is one in-flight computation. The leader fills val/err and then
-// closes done; waiters read the fields only after done is closed. The
-// payload is generic so analyze flights (probeOutcome) and placement
-// flights (api.PlaceResponse) share one coalescing mechanism — and one
-// determinism contract.
+// flight is one in-flight computation. The leader fills val, partial and
+// err and then closes done; waiters read the fields only after done is
+// closed. partial is the Warning-199 reason when val is an answer the
+// leader salvaged from a computation the deadline cut short. The payload
+// is generic so analyze flights (api.Recommendation) and placement flights
+// (api.PlaceResponse) share one coalescing mechanism — and one determinism
+// contract.
 type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
+	done    chan struct{}
+	val     T
+	partial string
+	err     error
 }
 
 // flightGroup tracks the in-flight computation per fingerprint key.

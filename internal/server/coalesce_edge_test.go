@@ -80,7 +80,6 @@ func gatedProbeFunc(calls *atomic.Int64, blockName string, started chan<- struct
 // timeout — while the leader's probe runs to completion and answers 200.
 func TestCoalesceWaiterDeadlineDuringProbe(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceWindow = time.Millisecond
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)
@@ -159,7 +158,6 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.CoalesceWindow = 50 * time.Millisecond
 			s := newTestServer(t, cfg)
 			var calls atomic.Int64
 			s.probe = countingProbe(&calls, 0)
@@ -167,7 +165,7 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 			defer ts.Close()
 
 			req := coalesceReq()
-			f, leader := s.flights.join(analyzeKey(t, s, req))
+			f, leader := s.recs.flights.join(analyzeKey(t, s, req))
 			if !leader {
 				t.Fatal("test did not win flight leadership")
 			}
@@ -200,7 +198,7 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 			})
 
 			f.err = tc.sentinel
-			s.flights.finish(analyzeKey(t, s, req), f)
+			s.recs.flights.finish(analyzeKey(t, s, req), f)
 
 			for i := 0; i < waiters; i++ {
 				r := <-replies
@@ -212,7 +210,7 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 			if got := calls.Load(); got != 0 {
 				t.Errorf("probe ran %d times under sentinel %v, want 0", got, tc.sentinel)
 			}
-			if got := s.flights.inFlight(); got != 0 {
+			if got := s.recs.flights.inFlight(); got != 0 {
 				t.Errorf("flights in flight after finish = %d, want 0", got)
 			}
 		})
@@ -227,7 +225,6 @@ func TestCoalesceLeaderExpiredInQueueFansOut(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 4
-	cfg.CoalesceWindow = 50 * time.Millisecond
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)

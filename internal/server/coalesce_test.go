@@ -88,9 +88,7 @@ func varInt(t *testing.T, vars map[string]any, key string) int64 {
 // every request accounted for as the leader, a coalesced waiter or a cache
 // hit — verified through /debug/vars, under the race detector in CI.
 func TestCoalesceBurstSharesOneProbe(t *testing.T) {
-	cfg := testConfig()
-	cfg.CoalesceWindow = 50 * time.Millisecond
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	var calls atomic.Int64
 	s.probe = countingProbe(&calls, 20*time.Millisecond)
 	ts := httptest.NewServer(s.Handler())
@@ -174,16 +172,17 @@ func TestCoalesceBurstSharesOneProbe(t *testing.T) {
 // TestCoalesceFanOutError pins the waiter-side failure fan-out: when the
 // leader's probe fails organically, every coalesced waiter receives the
 // probe_failed envelope from that single probe instead of probing again.
+// The probe is held until the whole burst has joined its flight.
 func TestCoalesceFanOutError(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceWindow = 50 * time.Millisecond
 	cfg.CacheSize = -1 // no cache: every request must go through the flight
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
 	probeErr := errors.New("simulator on fire")
+	gate := make(chan struct{})
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
 		calls.Add(1)
-		time.Sleep(20 * time.Millisecond)
+		<-gate
 		return controller.ProbeResult{}, probeErr
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -213,57 +212,16 @@ func TestCoalesceFanOutError(t *testing.T) {
 			codes[i] = e.Code
 		}(i)
 	}
+	waitFor(t, "the burst to join one flight", func() bool { return s.met.coalesced.Load() == burst-1 })
+	close(gate)
 	wg.Wait()
 	for i := range codes {
 		if statuses[i] != http.StatusInternalServerError || codes[i] != api.CodeProbeFailed {
 			t.Fatalf("request %d: status %d code %q, want 500 %q", i, statuses[i], codes[i], api.CodeProbeFailed)
 		}
 	}
-	// The whole burst shares at most a couple of probes (one per flight
-	// generation); serialized stragglers may start a second flight, but the
-	// coalescing must prevent anything near one probe per request.
-	if got := calls.Load(); got > 2 {
-		t.Fatalf("probe ran %d times for %d identical failing requests, want <= 2", got, burst)
-	}
-}
-
-// TestCoalesceDisabled verifies the negative-window escape hatch: with
-// coalescing off, concurrent identical requests each run their own probe.
-func TestCoalesceDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.CoalesceWindow = -1
-	cfg.CacheSize = -1
-	s := newTestServer(t, cfg)
-	var calls atomic.Int64
-	s.probe = countingProbe(&calls, 0)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, err := json.Marshal(coalesceReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			//lint:ignore errlint draining the body is connection hygiene; the status is the assertion
-			_, _ = io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != n {
-		t.Fatalf("probe ran %d times with coalescing disabled, want %d", got, n)
+	// Every request joined the one flight before its probe finished.
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("probe ran %d times for %d identical failing requests, want 1", got, burst)
 	}
 }

@@ -188,7 +188,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 
 	// The stale entry refreshes once the probe recovers.
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
-		return controller.ProbeWith(ctx, s.pool, d, chips, spec, seed)
+		return (&controller.Prober{Pool: s.pool}).Probe(ctx, d, chips, spec, seed)
 	}
 	w = postJSON(t, h, "/v1/analyze", req)
 	rec = decodeRec(t, w)
@@ -275,7 +275,7 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 	// breaker and the answer is fresh again.
 	clk.advance(time.Minute)
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
-		return controller.ProbeWith(ctx, s.pool, d, chips, spec, seed)
+		return (&controller.Prober{Pool: s.pool}).Probe(ctx, d, chips, spec, seed)
 	}
 	w = postJSON(t, h, "/v1/analyze", cachedReq)
 	if rec := decodeRec(t, w); w.Code != http.StatusOK || rec.Degraded {

@@ -38,12 +38,6 @@ type metrics struct {
 	probes    atomic.Uint64
 	coalesced atomic.Uint64
 
-	// Batching counters: batches counts batched simulation passes, batched
-	// the probes that rode along in another leader's pass (the batch
-	// analogue of coalesced).
-	batches atomic.Uint64
-	batched atomic.Uint64
-
 	// Placement counters: placements counts co-simulation passes actually
 	// launched for /v1/place (flight leaders that reached the engine),
 	// placeCoalesced the placement requests that attached to another
@@ -103,19 +97,15 @@ func (s *Server) vars() map[string]any {
 		"stale_served_total":   s.met.staleServed.Load(),
 		"partial_served_total": s.met.partialServed.Load(),
 
-		"flights_total":           s.met.flights.Load(),
-		"probes_total":            s.met.probes.Load(),
-		"coalesced_total":         s.met.coalesced.Load(),
-		"flights_in_flight":       s.flights.inFlight(),
-		"coalesce_window_seconds": s.cfg.CoalesceWindow.Seconds(),
-		"batches_total":           s.met.batches.Load(),
-		"batched_probes_total":    s.met.batched.Load(),
-		"max_batch":               s.cfg.MaxBatch,
+		"flights_total":     s.met.flights.Load(),
+		"probes_total":      s.met.probes.Load(),
+		"coalesced_total":   s.met.coalesced.Load(),
+		"flights_in_flight": s.recs.flights.inFlight(),
 
 		"placements_total":        s.met.placements.Load(),
 		"place_coalesced_total":   s.met.placeCoalesced.Load(),
 		"place_pairs_total":       s.met.placePairs.Load(),
-		"place_flights_in_flight": s.placeFlights.inFlight(),
+		"place_flights_in_flight": s.places.flights.inFlight(),
 
 		"breaker_state":        s.brk.stateName(),
 		"breaker_opens_total":  s.brk.opens.Load(),

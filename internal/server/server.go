@@ -18,13 +18,16 @@
 // load-shedding beyond it, per-request timeouts wired through context, an
 // LRU recommendation cache keyed by canonical request fingerprints, JSON
 // access logging, and graceful drain (in-flight requests finish; health
-// flips to 503 so load balancers stop sending new work).
+// flips to 503 so load balancers stop sending new work). One generic
+// serving ladder (ladder.go) carries every endpoint through the cache,
+// flight coalescing (coalesce.go), admission, the probe circuit breaker
+// and graceful degradation; the handlers supply only decoding, the key
+// and the computation.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -81,20 +84,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before admitting a
 	// half-open trial probe (0 = 10s).
 	BreakerCooldown time.Duration
-	// CoalesceWindow is the batch-admission window for analyze probes: the
-	// leader of a probe flight holds the simulation back this long so a
-	// burst of identical requests spread over the window still coalesces
-	// onto one probe. 0 keeps coalescing for requests that are already in
-	// flight without delaying the leader; negative disables coalescing
-	// entirely (every request probes for itself).
-	CoalesceWindow time.Duration
-	// MaxBatch, when >= 2, upgrades the admission window from deduplication
-	// to aggregation: up to MaxBatch DISTINCT analyze probes of the same
-	// machine shape (arch, chips) that open within one window drain into a
-	// single batched simulation pass (controller.ProbeBatch), each variant
-	// on its own disjoint chip group. Responses stay byte-identical to solo
-	// probes. Requires a positive CoalesceWindow; 0 or 1 disables batching.
-	MaxBatch int
 	// Faults optionally injects scheduled faults into the probe and cache
 	// paths for chaos testing (nil = no injection; see internal/fault).
 	Faults *fault.Injector
@@ -163,12 +152,6 @@ func (c Config) validate() error {
 	if c.BreakerCooldown < 0 {
 		return fmt.Errorf("server: negative breaker cooldown %v", c.BreakerCooldown)
 	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("server: negative max batch %d", c.MaxBatch)
-	}
-	if c.MaxBatch > 1 && c.CoalesceWindow <= 0 {
-		return fmt.Errorf("server: max batch %d needs a positive coalesce window (got %v)", c.MaxBatch, c.CoalesceWindow)
-	}
 	return nil
 }
 
@@ -182,23 +165,23 @@ type placeFunc func(ctx context.Context, in *placement.Input) (api.PlaceResponse
 // Server is the advisor service. Build one with New, mount Handler on an
 // http.Server, and call BeginDrain before http.Server.Shutdown.
 type Server struct {
-	cfg          Config
-	defaultArch  *arch.Desc
-	lim          *limiter
-	cache        *lruCache
-	brk          *breaker
-	met          *metrics
-	mux          *http.ServeMux
-	flights      *flightGroup[probeOutcome]
-	placeFlights *flightGroup[api.PlaceResponse]
-	probe        probeFunc
-	place        placeFunc
-	batch        *batcher // nil unless MaxBatch >= 2
-	probeBatch   probeBatchFunc
-	pool         *cpu.Pool
-	progs        *workload.Cache
-	draining     atomic.Bool
-	logMu        sync.Mutex
+	cfg         Config
+	defaultArch *arch.Desc
+	lim         *limiter
+	cache       *lruCache
+	brk         *breaker
+	met         *metrics
+	mux         *http.ServeMux
+	// recs serves recommendations (/v1/metric, /v1/analyze), places
+	// placements (/v1/place).
+	recs     *ladder[Recommendation]
+	places   *ladder[api.PlaceResponse]
+	probe    probeFunc
+	place    placeFunc
+	pool     *cpu.Pool
+	progs    *workload.Cache
+	draining atomic.Bool
+	logMu    sync.Mutex
 }
 
 // New builds the service from a validated configuration.
@@ -212,21 +195,35 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:          cfg,
-		defaultArch:  d,
-		lim:          newLimiter(cfg.Workers, cfg.QueueDepth),
-		cache:        newLRUCache(cfg.CacheSize),
-		brk:          newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		met:          newMetrics(),
-		flights:      newFlightGroup[probeOutcome](),
-		placeFlights: newFlightGroup[api.PlaceResponse](),
+		cfg:         cfg,
+		defaultArch: d,
+		lim:         newLimiter(cfg.Workers, cfg.QueueDepth),
+		cache:       newLRUCache(cfg.CacheSize),
+		brk:         newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		met:         newMetrics(),
 		// At most Workers probes run at once, so Workers machines per
 		// (arch, chips) key covers the steady state.
 		pool: cpu.NewPool(cfg.Workers),
-		// Compiled-workload cache shared by solo probes, batch passes and
-		// every coalesced flight: repeat specs skip validation and table
-		// derivation and stamp instances from one immutable Program.
+		// Compiled-workload cache shared by probes, placement pair co-runs
+		// and every coalesced flight: repeat specs skip validation and
+		// table derivation and stamp instances from one immutable Program.
 		progs: workload.NewCache(0),
+	}
+	s.recs = &ladder[Recommendation]{
+		s: s, noun: "recommendation", op: "probe",
+		fields: func(r *Recommendation) (*bool, *bool, *string) {
+			return &r.Cached, &r.Degraded, &r.Warning
+		},
+		flights:   newFlightGroup[Recommendation](),
+		coalesced: &s.met.coalesced,
+	}
+	s.places = &ladder[api.PlaceResponse]{
+		s: s, noun: "placement", op: "placement",
+		fields: func(p *api.PlaceResponse) (*bool, *bool, *string) {
+			return &p.Cached, &p.Degraded, &p.Warning
+		},
+		flights:   newFlightGroup[api.PlaceResponse](),
+		coalesced: &s.met.placeCoalesced,
 	}
 	prober := &controller.Prober{Pool: s.pool, Cache: s.progs}
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
@@ -237,14 +234,6 @@ func New(cfg Config) (*Server, error) {
 			return controller.ProbeResult{}, err
 		}
 		return prober.Probe(ctx, d, chips, spec, seed)
-	}
-	if cfg.MaxBatch >= 2 {
-		s.batch = newBatcher(cfg.MaxBatch)
-	}
-	// Fault injection for the batched path happens per flight leader inside
-	// batchProbe, before the join, so the pass itself runs clean.
-	s.probeBatch = func(ctx context.Context, d *arch.Desc, chips int, items []controller.BatchItem) ([]controller.BatchResult, error) {
-		return prober.ProbeBatch(ctx, d, chips, items)
 	}
 	// The placement engine shares the probe path's pooled machines and
 	// compiled-program cache; faults injected on the probe op hit it too,
@@ -377,97 +366,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// admit runs the bounded-concurrency admission for one request. When
-// admission fails and the caller holds a stale cached recommendation, the
-// request is answered from it (marked degraded) instead of bouncing — the
-// graceful-degradation path; with nothing to fall back on, the limiter
-// failure maps to 429 (queue full) or 503 (expired while queued). Either
-// way the response has been written when admit returns false. On success
-// the caller must call s.lim.release().
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, stale *api.Recommendation) bool {
-	if err := s.lim.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.met.shed.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "server saturated")
-				return false
-			}
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
-		} else {
-			s.met.timeouts.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "request expired while queued")
-				return false
-			}
-			writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "request expired while queued: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// warnHeader formats the RFC 7234 Warning header carried by every degraded
-// response; code 110 ("response is stale") for stale answers, 199 for
-// partial-probe answers.
-func warnHeader(code int, reason string) string {
-	return fmt.Sprintf("%d smtservd %q", code, reason)
-}
-
-// serveStale answers 200 with a stale cached recommendation, marked
-// degraded, when the fresh path is unavailable.
-func (s *Server) serveStale(w http.ResponseWriter, rec api.Recommendation, cause string) {
-	reason := cause + ": serving last known recommendation"
-	rec.Cached = true
-	rec.Degraded = true
-	if rec.Warning != "" {
-		rec.Warning = reason + "; " + rec.Warning
-	} else {
-		rec.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.staleServed.Add(1)
-	w.Header().Set("Warning", warnHeader(110, reason))
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// servePartial answers 200 with a recommendation computed from a probe cut
-// short by the request deadline, marked degraded.
-func (s *Server) servePartial(w http.ResponseWriter, rec api.Recommendation, wall int64) {
-	reason := fmt.Sprintf("partial probe: deadline expired after %d simulated cycles", wall)
-	rec.Degraded = true
-	if rec.Warning != "" {
-		rec.Warning = reason + "; " + rec.Warning
-	} else {
-		rec.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.partialServed.Add(1)
-	w.Header().Set("Warning", warnHeader(199, reason))
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// cacheGet looks up a recommendation, routing the lookup through the fault
-// injector: an injected failure is observed as a miss, an injected delay
-// as a slow lookup.
-func (s *Server) cacheGet(ctx context.Context, key string) (api.Recommendation, bool, bool) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheGet); err != nil {
-		return api.Recommendation{}, false, false
-	}
-	v, fresh, ok := s.cache.get(key, s.cfg.CacheTTL)
-	if !ok {
-		return api.Recommendation{}, false, false
-	}
-	return v.(api.Recommendation), fresh, true
-}
-
-// cacheAdd stores a recommendation unless the fault injector drops the
-// insert.
-func (s *Server) cacheAdd(ctx context.Context, key string, rec api.Recommendation) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheAdd); err != nil {
-		return
-	}
-	s.cache.add(key, rec)
 }

@@ -127,10 +127,10 @@ stage_fleet() {
 	go build -o "$dir/smtservd" ./cmd/smtservd
 	go build -o "$dir/smtrouter" ./cmd/smtrouter
 	go build -o "$dir/chaosprobe" ./scripts/chaosprobe
-	"$dir/smtservd" -addr 127.0.0.1:18710 -quiet -coalesce-window 2ms \
+	"$dir/smtservd" -addr 127.0.0.1:18710 -quiet \
 		>"$artdir/fleet-shard0.log" 2>&1 &
 	shard0=$!
-	"$dir/smtservd" -addr 127.0.0.1:18711 -quiet -coalesce-window 2ms \
+	"$dir/smtservd" -addr 127.0.0.1:18711 -quiet \
 		>"$artdir/fleet-shard1.log" 2>&1 &
 	shard1=$!
 	"$dir/smtrouter" -addr 127.0.0.1:18712 -quiet \
@@ -184,14 +184,14 @@ stage_race() {
 	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
 	# watching the per-group domain isolation.
 	step "chip-parallel determinism under race"
-	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestBatchedAnalyzeMatchesSolo' \
-		./internal/cpu ./internal/server
+	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo' ./internal/cpu
 }
 
 stage_fuzz() {
 	step "fuzz smoke (10s per target)"
 	go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 10s ./internal/workload
+	go test -run '^$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server
 }
 
 run_stage() {
