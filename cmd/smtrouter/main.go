@@ -11,22 +11,21 @@
 //
 // The router drains gracefully on SIGINT/SIGTERM: /healthz flips to 503 so
 // load balancers stop routing here, in-flight forwards run to completion
-// (bounded by -drain-timeout), then the process exits.
+// (bounded by -drain-timeout), then the process exits. The lifecycle is
+// internal/httpd's Run, shared with smtservd.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/httpd"
 	"repro/internal/router"
 )
 
@@ -46,52 +45,30 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress the JSON access log")
 	)
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "smtrouter: unexpected arguments %v\n", flag.Args())
-		os.Exit(2)
-	}
 	if *shards == "" {
 		fmt.Fprintln(os.Stderr, "smtrouter: -shards is required (comma-separated smtservd base URLs)")
 		os.Exit(2)
 	}
-	if *drainTimeout <= 0 {
-		fmt.Fprintf(os.Stderr, "smtrouter: -drain-timeout %v, need > 0\n", *drainTimeout)
-		os.Exit(2)
-	}
-
-	cfg := router.Config{
-		Shards:         splitShards(*shards),
-		Replicas:       *replicas,
-		VNodes:         *vnodes,
-		Seed:           *seed,
-		RequestTimeout: *timeout,
-		HopTimeout:     *hopTimeout,
-		HopAttempts:    *hopAttempts,
-		ShardCooldown:  *cooldown,
-	}
-	if *faultsPath != "" {
-		sched, err := fault.LoadSchedule(*faultsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = fault.NewInjector(sched)
-		fmt.Fprintf(os.Stderr, "smtrouter: CHAOS MODE: injecting faults from %s (seed %d, %d rules)\n",
-			*faultsPath, sched.Seed, len(sched.Rules))
-	}
-	if !*quiet {
-		cfg.AccessLog = os.Stdout
-	}
-	rt, err := router.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
-		os.Exit(2)
-	}
-
-	if err := run(rt, *addr, cfg.Shards, *drainTimeout); err != nil {
-		fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
-		os.Exit(1)
-	}
+	shardURLs := splitShards(*shards)
+	os.Exit(httpd.Run(context.Background(), httpd.Daemon{
+		Name: "smtrouter", Args: flag.Args(), Addr: *addr, DrainTimeout: *drainTimeout,
+		FaultsPath: *faultsPath, Quiet: *quiet, Stdout: os.Stdout, Stderr: os.Stderr,
+		Banner: fmt.Sprintf("routing on %s over %d shards (%s)", *addr, len(shardURLs), strings.Join(shardURLs, ", ")),
+		New: func(faults *fault.Injector, accessLog io.Writer) (httpd.Service, error) {
+			return router.New(router.Config{
+				Shards:         shardURLs,
+				Replicas:       *replicas,
+				VNodes:         *vnodes,
+				Seed:           *seed,
+				RequestTimeout: *timeout,
+				HopTimeout:     *hopTimeout,
+				HopAttempts:    *hopAttempts,
+				ShardCooldown:  *cooldown,
+				Faults:         faults,
+				AccessLog:      accessLog,
+			})
+		},
+	}))
 }
 
 // splitShards parses the comma-separated shard list, trimming whitespace
@@ -104,42 +81,4 @@ func splitShards(s string) []string {
 		}
 	}
 	return out
-}
-
-// run serves until a terminating signal or listener failure, then drains.
-// It owns every defer of the daemon's lifetime, so main can os.Exit on its
-// error without skipping cleanup (exitlint enforces this split).
-func run(rt *router.Router, addr string, shards []string, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "smtrouter: routing on %s over %d shards (%s)\n",
-		addr, len(shards), strings.Join(shards, ", "))
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "smtrouter: signal received, draining ...")
-	rt.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "smtrouter: drained, bye")
-	return nil
 }

@@ -11,21 +11,20 @@
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: /healthz flips to 503 so
 // load balancers stop routing here, in-flight requests run to completion
-// (bounded by -drain-timeout), then the process exits.
+// (bounded by -drain-timeout), then the process exits. The lifecycle is
+// internal/httpd's Run, shared with smtrouter.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/httpd"
 	"repro/internal/server"
 )
 
@@ -47,87 +46,25 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress the JSON access log")
 	)
 	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "smtservd: unexpected arguments %v\n", flag.Args())
-		os.Exit(2)
-	}
-	if *drainTimeout <= 0 {
-		fmt.Fprintf(os.Stderr, "smtservd: -drain-timeout %v, need > 0\n", *drainTimeout)
-		os.Exit(2)
-	}
-
-	cfg := server.Config{
-		Arch:             *archName,
-		Chips:            *chips,
-		Threshold:        *thresh,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		CacheSize:        *cacheSize,
-		CacheTTL:         *cacheTTL,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-	}
-	if *faultsPath != "" {
-		sched, err := fault.LoadSchedule(*faultsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = fault.NewInjector(sched)
-		fmt.Fprintf(os.Stderr, "smtservd: CHAOS MODE: injecting faults from %s (seed %d, %d rules)\n",
-			*faultsPath, sched.Seed, len(sched.Rules))
-	}
-	if !*quiet {
-		cfg.AccessLog = os.Stdout
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
-		os.Exit(2)
-	}
-
-	if err := run(srv, *addr, *archName, *thresh, *drainTimeout); err != nil {
-		fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// run serves until a terminating signal or listener failure, then drains.
-// It owns every defer of the daemon's lifetime, so main can os.Exit on its
-// error without skipping cleanup (exitlint enforces this split).
-func run(srv *server.Server, addr, archName string, thresh float64, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "smtservd: serving on %s (arch=%s threshold=%g)\n",
-		addr, archName, thresh)
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Drain: stop advertising health, let in-flight requests finish.
-	fmt.Fprintln(os.Stderr, "smtservd: signal received, draining ...")
-	srv.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "smtservd: drained, bye")
-	return nil
+	os.Exit(httpd.Run(context.Background(), httpd.Daemon{
+		Name: "smtservd", Args: flag.Args(), Addr: *addr, DrainTimeout: *drainTimeout,
+		FaultsPath: *faultsPath, Quiet: *quiet, Stdout: os.Stdout, Stderr: os.Stderr,
+		Banner: fmt.Sprintf("serving on %s (arch=%s threshold=%g)", *addr, *archName, *thresh),
+		New: func(faults *fault.Injector, accessLog io.Writer) (httpd.Service, error) {
+			return server.New(server.Config{
+				Arch:             *archName,
+				Chips:            *chips,
+				Threshold:        *thresh,
+				Workers:          *workers,
+				QueueDepth:       *queue,
+				RequestTimeout:   *timeout,
+				CacheSize:        *cacheSize,
+				CacheTTL:         *cacheTTL,
+				BreakerThreshold: *brkThresh,
+				BreakerCooldown:  *brkCooldown,
+				Faults:           faults,
+				AccessLog:        accessLog,
+			})
+		},
+	}))
 }

@@ -17,6 +17,7 @@ package arch
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -404,4 +405,19 @@ func Nehalem() *Desc {
 	d.Latency[isa.FPDiv] = 22
 
 	return d
+}
+
+// ByName resolves an architecture name, case-insensitively, to a fresh
+// description. Each architecture answers to its model name and its short
+// aliases: power7/p7, nehalem/i7/corei7 and smt8/genericsmt8.
+func ByName(name string) (*Desc, error) {
+	switch strings.ToLower(name) {
+	case "power7", "p7":
+		return POWER7(), nil
+	case "nehalem", "i7", "corei7":
+		return Nehalem(), nil
+	case "smt8", "genericsmt8":
+		return GenericSMT8(), nil
+	}
+	return nil, fmt.Errorf("unknown architecture %q (want power7, nehalem or smt8)", name)
 }

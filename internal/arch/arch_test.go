@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -222,5 +223,35 @@ func TestValidatePortOverflow(t *testing.T) {
 	d.ClassPorts[isa.Load] = 1 << 15 // beyond NumPorts
 	if err := d.Validate(); err == nil {
 		t.Fatal("out-of-range port mask accepted")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"power7", "POWER7"}, {"P7", "POWER7"}, {"Power7", "POWER7"},
+		{"nehalem", "Nehalem"}, {"i7", "Nehalem"}, {"COREI7", "Nehalem"},
+		{"smt8", "GenericSMT8"}, {"GenericSMT8", "GenericSMT8"},
+	} {
+		d, err := ByName(tc.name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", tc.name, err)
+		}
+		if d.Name != tc.want {
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, d.Name, tc.want)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+		}
+	}
+	// Each call returns a fresh description callers may mutate.
+	a, _ := ByName("power7")
+	b, _ := ByName("power7")
+	if a == b {
+		t.Error("ByName returned a shared description")
+	}
+	for _, bad := range []string{"", "power8", "smt4", " p7"} {
+		if _, err := ByName(bad); err == nil || !strings.Contains(err.Error(), "want power7, nehalem or smt8") {
+			t.Errorf("ByName(%q) error %v, want the unknown-architecture message", bad, err)
+		}
 	}
 }

@@ -6,8 +6,7 @@ import (
 )
 
 func TestAblationStudyRuns(t *testing.T) {
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	subset := []string{"EP", "Blackscholes", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim", "BT"}
 	res := AblationStudy(context.Background(), m, subset, 4, 1)
 	if len(res) < 10 {

@@ -87,8 +87,7 @@ func TestMatrixCachesCells(t *testing.T) {
 }
 
 func TestSpeedupDefinition(t *testing.T) {
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	s := m.Speedup(context.Background(), "EP", 4, 1)
 	w4 := m.Cell(context.Background(), "EP", 4).Wall
 	w1 := m.Cell(context.Background(), "EP", 1).Wall
@@ -102,8 +101,7 @@ func TestSpeedupDefinition(t *testing.T) {
 // hours): the metric measured at SMT4 separates SMT4-preferring from
 // SMT1-preferring workloads.
 func TestFig6HeadlineClaims(t *testing.T) {
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	subset := []string{"EP", "Blackscholes", "Fluidanimate", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim"}
 	res := scatter(context.Background(), m, "fig6-subset", "subset", subset, 4, 4, 1)
 	if len(res.Points) != len(subset) {
@@ -139,8 +137,7 @@ func TestFig6HeadlineClaims(t *testing.T) {
 // cannot foresee contention, so contended workloads look as SMT-friendly as
 // scalable ones.
 func TestFig11MetricBreaksDownAtSMT1(t *testing.T) {
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	// At SMT4 the contended workload's metric towers over EP's; at SMT1
 	// the gap collapses (less contention is visible with 8 threads).
 	ep4 := m.Cell(context.Background(), "EP", 4).Metric.Value
@@ -162,8 +159,7 @@ func TestFig11MetricBreaksDownAtSMT1(t *testing.T) {
 // TestFig2NoStrongCorrelation verifies the motivation result: naive
 // single-number statistics do not predict SMT speedup.
 func TestFig2NoStrongCorrelation(t *testing.T) {
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	// A subset keeps the runtime bounded; the correlation claim holds on
 	// any diverse slice of the suite.
 	res := fig2Subset(context.Background(), m, []string{
@@ -182,8 +178,7 @@ func TestAmbiguousBand(t *testing.T) {
 	// Synthetic matrix-free check through the scatter helper is not
 	// possible (it needs cells), so verify the band arithmetic on a tiny
 	// simulated subset instead.
-	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
+	m := sharedP7Matrix(t)
 	res := scatter(context.Background(), m, "band", "band", []string{"EP", "Stream"}, 4, 4, 1)
 	// EP (winner, low metric) and Stream (loser, high metric) separate
 	// perfectly: the band must be empty.

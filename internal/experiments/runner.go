@@ -70,26 +70,16 @@ func (s Stats) Speedup() float64 {
 // runs on one worker or sixteen (the determinism tests assert exactly
 // this across GOMAXPROCS settings).
 //
-// The zero value is a GOMAXPROCS-wide pool with no timeout and no progress
-// reporting.
+// The zero value is a GOMAXPROCS-wide pool with no progress reporting.
+// Per-cell budgets belong to the matrix (Matrix.CellBudget), so sweeps and
+// figure renders share one.
 type Runner struct {
 	// Workers bounds the pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// CellTimeout bounds one cell's simulation; 0 means no per-cell bound.
-	// A timed-out cell reports context.DeadlineExceeded in its Event and
-	// counts toward Stats.Failed; it is not cached, so a later sweep with a
-	// larger budget can retry it.
-	CellTimeout time.Duration
 	// OnEvent, when non-nil, observes each cell completion. Calls are
 	// serialized by the runner; the callback must not call back into the
 	// same Runner.
 	OnEvent func(Event)
-	// Events, when non-nil, receives each cell completion. Sends are
-	// blocking: the consumer must drain the channel for the sweep to make
-	// progress. The runner does not close the channel (the same channel may
-	// observe several sweeps); consumers should stop receiving after Sweep
-	// returns.
-	Events chan<- Event
 	// Now is the clock behind the timing fields (Stats.Elapsed,
 	// Stats.CellTime, Event.Elapsed). Simulated results never depend on it —
 	// this package is wall-clock-free by contract (detlint) — so it is nil
@@ -200,26 +190,24 @@ dispatch:
 	return stats, ctx.Err()
 }
 
-// runCell computes one cell under the per-cell timeout and publishes its
-// Event and stats.
+// runCell computes one cell and publishes its Event and stats. A timed-out
+// cell (Matrix.CellBudget) reports context.DeadlineExceeded and counts
+// toward Stats.Failed; it is not cached, so a later sweep with a larger
+// budget can retry it.
 func (r *Runner) runCell(ctx context.Context, j job, total int, mu *sync.Mutex, seq *int, stats *Stats) {
-	cctx := ctx
-	if r.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
-		defer cancel()
-	}
 	t0 := r.now()
 	cached := j.m.peek(j.ref.Bench, j.ref.SMT)
-	c := j.m.Cell(cctx, j.ref.Bench, j.ref.SMT)
+	c := j.m.Cell(ctx, j.ref.Bench, j.ref.SMT)
 	elapsed := r.since(t0)
 
 	err := c.Err
-	if err != nil && errors.Is(err, cpu.ErrCanceled) {
-		// Surface the bare context error (timeout vs cancellation) so
-		// consumers can tell a per-cell budget overrun from a sweep abort.
-		if cerr := cctx.Err(); cerr != nil {
-			err = cerr
+	if errors.Is(err, cpu.ErrCanceled) {
+		// Surface the bare context error so consumers can tell a sweep
+		// abort from a per-cell budget overrun: with the sweep still live,
+		// only the cell's own deadline can have cut it short.
+		err = ctx.Err()
+		if err == nil {
+			err = context.DeadlineExceeded
 		}
 	}
 
@@ -236,9 +224,6 @@ func (r *Runner) runCell(ctx context.Context, j job, total int, mu *sync.Mutex, 
 	ev := Event{Ref: j.ref, Seq: *seq, Total: total, Elapsed: elapsed, Cached: cached, Err: err}
 	if r.OnEvent != nil {
 		r.OnEvent(ev)
-	}
-	if r.Events != nil {
-		r.Events <- ev
 	}
 }
 

@@ -86,9 +86,13 @@ func TestSweepErrorIsolation(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("%d events, want 3", len(events))
 	}
-	for _, ev := range events {
+	for i, ev := range events {
 		if ev.Seq < 1 || ev.Seq > 3 || ev.Total != 3 {
 			t.Errorf("event %+v: bad Seq/Total", ev)
+		}
+		// Delivery is serialized in completion order: Seq counts up.
+		if ev.Seq != i+1 {
+			t.Errorf("event out of order: got Seq %d at position %d", ev.Seq, i+1)
 		}
 	}
 	if c := m.Cell(context.Background(), "NoSuchBenchmark", 1); c.Err == nil {
@@ -155,7 +159,8 @@ func TestSweepCellTimeout(t *testing.T) {
 		t.Skip("simulation-backed test")
 	}
 	m := NewMatrix(P7OneChip, DefaultSeed)
-	r := &Runner{Workers: 1, CellTimeout: time.Millisecond}
+	m.CellBudget = time.Millisecond
+	r := &Runner{Workers: 1}
 	var timedOut error
 	r.OnEvent = func(ev Event) { timedOut = ev.Err }
 	stats, err := r.Sweep(context.Background(), m, []string{"MG"}, []int{1})
@@ -172,7 +177,7 @@ func TestSweepCellTimeout(t *testing.T) {
 		t.Fatalf("%d timed-out cells were cached", got)
 	}
 	// With no budget the same cell completes and caches.
-	r.CellTimeout = 0
+	m.CellBudget = 0
 	if c := m.Cell(context.Background(), "MG", 1); c.Err != nil || c.Wall <= 0 {
 		t.Fatalf("MG@1 did not recover after timeout: %+v", c)
 	}
@@ -194,31 +199,6 @@ func TestSweepSharesInFlightCells(t *testing.T) {
 		if c := <-results; c != first {
 			t.Fatal("concurrent Cell calls returned distinct result objects")
 		}
-	}
-}
-
-// TestEventsChannel: the channel form of progress reporting delivers every
-// completion in Seq order.
-func TestEventsChannel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed test")
-	}
-	m := NewMatrix(P7OneChip, DefaultSeed)
-	events := make(chan Event)
-	r := &Runner{Workers: 2, Events: events}
-	go func() {
-		_, _ = r.Sweep(context.Background(), m, detBenches, []int{1})
-		close(events)
-	}()
-	seq := 0
-	for ev := range events {
-		seq++
-		if ev.Seq != seq {
-			t.Errorf("event out of order: got Seq %d at position %d", ev.Seq, seq)
-		}
-	}
-	if seq != len(detBenches) {
-		t.Fatalf("received %d events, want %d", seq, len(detBenches))
 	}
 }
 

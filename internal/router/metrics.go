@@ -1,20 +1,11 @@
 package router
 
-import (
-	"encoding/json"
-	"net/http"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/report"
-)
+import "sync/atomic"
 
 // metrics is the router's observability surface, exported expvar-style as
 // one JSON document on /debug/vars — the fleet-level twin of the shard
 // counters in internal/server.
 type metrics struct {
-	start time.Time
-
 	requests     atomic.Uint64
 	responses2xx atomic.Uint64
 	responses4xx atomic.Uint64
@@ -28,21 +19,11 @@ type metrics struct {
 	rebalances atomic.Uint64
 	recoveries atomic.Uint64
 	unroutable atomic.Uint64
-
-	latency *report.LatencyHistogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:   time.Now(),
-		latency: report.NewLatencyHistogram(),
-	}
-}
-
-// observe records one finished request.
-func (m *metrics) observe(status int, elapsed time.Duration) {
+// observe counts one finished request by status class.
+func (m *metrics) observe(status int) {
 	m.requests.Add(1)
-	m.latency.Observe(elapsed)
 	switch {
 	case status >= 500:
 		m.responses5xx.Add(1)
@@ -71,9 +52,6 @@ func (rt *Router) vars() map[string]any {
 		}
 	}
 	return map[string]any{
-		"uptime_seconds": time.Since(rt.met.start).Seconds(),
-		"draining":       rt.draining.Load(),
-
 		"requests_total": rt.met.requests.Load(),
 		"responses_2xx":  rt.met.responses2xx.Load(),
 		"responses_4xx":  rt.met.responses4xx.Load(),
@@ -94,20 +72,5 @@ func (rt *Router) vars() map[string]any {
 		"shard_cooldown_seconds": rt.cfg.ShardCooldown.Seconds(),
 
 		"fault_injection": rt.cfg.Faults.Counts(),
-
-		"latency_seconds": rt.met.latency.Snapshot(),
-		"latency_summary": rt.met.latency.Summary(),
 	}
-}
-
-// handleVars serves /debug/vars.
-func (rt *Router) handleVars(w http.ResponseWriter, _ *http.Request) {
-	body, err := json.MarshalIndent(rt.vars(), "", "  ")
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	//lint:ignore errlint the response write is best-effort: the client may have hung up
-	_, _ = w.Write(append(body, '\n'))
 }

@@ -9,6 +9,11 @@
 // seeded simulator, so the same request yields a byte-identical
 // Recommendation through one shard or through the router over N — the
 // 1-shard ≡ N-shard contract pinned by the golden test in this package.
+//
+// The request shell around the routes — timeout, body limit, access log,
+// drain flag and /debug/vars rendering — is internal/httpd, shared with
+// smtservd; this package keeps its routes, its /healthz body (which lists
+// shard health) and its counters.
 package router
 
 import (

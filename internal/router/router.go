@@ -15,11 +15,9 @@ import (
 	"repro/api"
 	"repro/client"
 	"repro/internal/fault"
+	"repro/internal/httpd"
 	"repro/internal/xrand"
 )
-
-// maxBodyBytes bounds request bodies, mirroring the shard-side limit.
-const maxBodyBytes = 1 << 20
 
 // Config tunes the fleet router.
 type Config struct {
@@ -102,8 +100,7 @@ func (c Config) validate() error {
 // shardState is the router's view of one backend: its forwarding client
 // plus passive health (a cooldown stamp set on forward failure).
 type shardState struct {
-	name string
-	cli  *client.Client
+	cli *client.Client
 
 	mu        sync.Mutex
 	downUntil time.Time
@@ -150,14 +147,13 @@ func (sh *shardState) markUp(now time.Time) bool {
 // Router is the fleet frontend. Build one with New, mount Handler on an
 // http.Server, and call BeginDrain before http.Server.Shutdown.
 type Router struct {
-	cfg      Config
-	ring     *Ring
-	shards   map[string]*shardState
-	met      *metrics
-	mux      *http.ServeMux
-	draining atomic.Bool
-	logMu    sync.Mutex
-	now      func() time.Time // injectable for cooldown tests
+	cfg    Config
+	ring   *Ring
+	shards map[string]*shardState
+	met    *metrics
+	mux    *http.ServeMux
+	shell  *httpd.Shell
+	now    func() time.Time // injectable for cooldown and access-log tests
 }
 
 // New builds the router from a validated configuration.
@@ -174,7 +170,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   ring,
 		shards: make(map[string]*shardState, len(cfg.Shards)),
-		met:    newMetrics(),
+		met:    &metrics{},
 		now:    time.Now,
 	}
 	for _, name := range ring.Shards() {
@@ -192,100 +188,27 @@ func New(cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("router: shard %q: %w", name, err)
 		}
-		rt.shards[name] = &shardState{name: name, cli: cli}
+		rt.shards[name] = &shardState{cli: cli}
 	}
+	// Read rt.now per request, so a clock injected after New still stamps
+	// the access log.
+	rt.shell = httpd.NewShell(cfg.RequestTimeout, cfg.AccessLog, func() time.Time { return rt.now() }, rt.met.observe)
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /debug/vars", rt.handleVars)
+	rt.mux.Handle("GET /debug/vars", rt.shell.Vars(rt.vars))
 	rt.mux.HandleFunc("POST /v1/metric", rt.handleMetric)
 	rt.mux.HandleFunc("POST /v1/analyze", rt.handleAnalyze)
 	rt.mux.HandleFunc("POST /v1/place", rt.handlePlace)
 	return rt, nil
 }
 
-// Handler returns the full request pipeline: routing wrapped with the
-// timeout, metrics and access-logging middleware.
-func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := rt.now()
-		ctx := r.Context()
-		if rt.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-			defer cancel()
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		rt.mux.ServeHTTP(rec, r.WithContext(ctx))
-		elapsed := rt.now().Sub(start)
-		rt.met.observe(rec.status, elapsed)
-		rt.accessLog(r, rec.status, rec.bytes, elapsed)
-	})
-}
+// Handler returns the full request pipeline: routing behind the shared
+// request shell (timeout, body limit, metrics and access log).
+func (rt *Router) Handler() http.Handler { return rt.shell.Wrap(rt.mux) }
 
 // BeginDrain flips the router into draining mode: /healthz answers 503 so
 // load balancers stop routing here while in-flight forwards finish.
-func (rt *Router) BeginDrain() { rt.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
-
-// statusRecorder captures the response status and size for logs/metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// accessLog emits one structured JSON line per request.
-func (rt *Router) accessLog(r *http.Request, status int, bytes int64, elapsed time.Duration) {
-	if rt.cfg.AccessLog == nil {
-		return
-	}
-	line, err := json.Marshal(map[string]any{
-		"time":   rt.now().UTC().Format(time.RFC3339Nano),
-		"method": r.Method,
-		"path":   r.URL.Path,
-		"status": status,
-		"bytes":  bytes,
-		"dur_ms": float64(elapsed.Microseconds()) / 1000,
-		"remote": r.RemoteAddr,
-	})
-	if err != nil {
-		return
-	}
-	rt.logMu.Lock()
-	defer rt.logMu.Unlock()
-	//lint:ignore errlint access logging is best-effort by design: a full log disk must not fail requests
-	_, _ = rt.cfg.AccessLog.Write(append(line, '\n'))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	//lint:ignore errlint the response write is best-effort: the client may have hung up, and the status is already committed
-	_, _ = w.Write(append(body, '\n'))
-}
-
-func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...), Code: code})
-}
+func (rt *Router) BeginDrain() { rt.shell.BeginDrain() }
 
 // handleHealthz answers liveness probes with the router's own state plus
 // its current view of shard health; a draining router reports 503.
@@ -301,19 +224,11 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	status := "ok"
 	code := http.StatusOK
-	if rt.draining.Load() {
+	if rt.shell.Draining() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"status": status, "shards": shards})
-}
-
-// decodeJSON parses a request body, rejecting unknown fields so misspelled
-// options fail loudly at the edge instead of deep in a shard.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	httpd.WriteJSON(w, code, map[string]any{"status": status, "shards": shards})
 }
 
 // handleMetric routes POST /v1/metric by the snapshot's canonical
@@ -322,8 +237,8 @@ func decodeJSON(r *http.Request, v any) error {
 // entry.
 func (rt *Router) handleMetric(w http.ResponseWriter, r *http.Request) {
 	var req api.MetricRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
 		return
 	}
 	rt.forward(r.Context(), w, req.Snapshot.Fingerprint(),
@@ -339,13 +254,13 @@ func (rt *Router) handleMetric(w http.ResponseWriter, r *http.Request) {
 // from, so identical analyze calls coalesce on one shard's flight group.
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
 		return
 	}
 	canonical, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
+		httpd.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
 		return
 	}
 	rt.forward(r.Context(), w, xrand.HashBytes(canonical),
@@ -363,13 +278,13 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // N-shard byte-identity to placement.
 func (rt *Router) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req api.PlaceRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
 		return
 	}
 	canonical, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
+		httpd.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
 		return
 	}
 	rt.forward(r.Context(), w, xrand.HashBytes(canonical),
@@ -402,7 +317,7 @@ func fallbackEligible(err error) bool {
 func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, key uint64, call func(ctx context.Context, c *client.Client) (any, bool, error)) {
 	if err := rt.cfg.Faults.Inject(ctx, fault.OpRoute); err != nil {
 		rt.met.unroutable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, api.CodeNoShards, "routing failed: %v", err)
+		httpd.WriteError(w, http.StatusServiceUnavailable, api.CodeNoShards, "routing failed: %v", err)
 		return
 	}
 	order := rt.ring.Order(key, rt.cfg.Replicas)
@@ -439,7 +354,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, key uint64
 			if degraded {
 				w.Header().Set("Warning", fmt.Sprintf("110 smtrouter %q", "degraded answer from shard"))
 			}
-			writeJSON(w, http.StatusOK, body)
+			httpd.WriteJSON(w, http.StatusOK, body)
 			return
 		}
 		sh.failures.Add(1)
@@ -455,7 +370,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, key uint64
 	}
 	rt.met.unroutable.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, api.CodeNoShards,
+	httpd.WriteError(w, http.StatusServiceUnavailable, api.CodeNoShards,
 		"no healthy shard answered (tried %d of %d replicas): %v", len(candidates), len(order), lastErr)
 }
 
@@ -473,7 +388,7 @@ func (rt *Router) shardFailed(sh *shardState) {
 func (rt *Router) propagate(w http.ResponseWriter, err error) {
 	var e *api.Error
 	if !errors.As(err, &e) {
-		writeError(w, http.StatusBadGateway, api.CodeNoShards, "shard failed: %v", err)
+		httpd.WriteError(w, http.StatusBadGateway, api.CodeNoShards, "shard failed: %v", err)
 		return
 	}
 	status := e.Status
@@ -483,5 +398,5 @@ func (rt *Router) propagate(w http.ResponseWriter, err error) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
-	writeJSON(w, status, *e)
+	httpd.WriteJSON(w, status, *e)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/api"
 	"repro/internal/arch"
+	"repro/internal/httpd"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -29,24 +30,23 @@ type (
 	Recommendation = api.Recommendation
 )
 
-// reqArch resolves the request architecture, falling back to the server
-// default.
-func (s *Server) reqArch(name string) (*arch.Desc, error) {
-	if name == "" {
-		return s.defaultArch, nil
+// reqParams resolves a request's architecture and threshold override,
+// falling back to the server defaults for the ones it leaves unset.
+func (s *Server) reqParams(archName string, th float64) (*arch.Desc, float64, error) {
+	d := s.defaultArch
+	if archName != "" {
+		var err error
+		if d, err = arch.ByName(archName); err != nil {
+			return nil, 0, err
+		}
 	}
-	return resolveArch(name)
-}
-
-// reqThreshold validates a per-request threshold override.
-func (s *Server) reqThreshold(v float64) (float64, error) {
-	if v == 0 {
-		return s.cfg.Threshold, nil
+	if th == 0 {
+		return d, s.cfg.Threshold, nil
 	}
-	if !(v > 0) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("threshold %v: need a positive finite value", v)
+	if !(th > 0) || math.IsInf(th, 0) {
+		return nil, 0, fmt.Errorf("threshold %v: need a positive finite value", th)
 	}
-	return v, nil
+	return d, th, nil
 }
 
 // decide fills the decision fields of a recommendation from a breakdown.
@@ -79,32 +79,16 @@ func decide(d *arch.Desc, measuredLevel int, m smtsm.Breakdown, th float64) Reco
 	return rec
 }
 
-// decodeJSON parses a request body, translating the error classes a client
-// can fix into one 400 message.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
-}
-
 // handleMetric serves POST /v1/metric.
 func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 	var req MetricRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
 		return
 	}
-	d, err := s.reqArch(req.Arch)
+	d, th, err := s.reqParams(req.Arch, req.Threshold)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	th, err := s.reqThreshold(req.Threshold)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	key := fmt.Sprintf("metric|%s|%016x|%016x", d.Name, math.Float64bits(th), req.Snapshot.Fingerprint())
@@ -131,7 +115,7 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 		rec.Warning = fmt.Sprintf("snapshot measured at SMT%d: the metric is only reliable at the maximum level SMT%d", measured, d.MaxSMT)
 	}
 	s.recs.cacheAdd(r.Context(), key, rec)
-	writeJSON(w, http.StatusOK, rec)
+	httpd.WriteJSON(w, http.StatusOK, rec)
 }
 
 // handleAnalyze serves POST /v1/analyze: a max-SMT probe of the described
@@ -141,18 +125,13 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 // breaker, saturation or the request deadline.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
 		return
 	}
-	d, err := s.reqArch(req.Arch)
+	d, th, err := s.reqParams(req.Arch, req.Threshold)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	th, err := s.reqThreshold(req.Threshold)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	chips := req.Chips
@@ -160,31 +139,31 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		chips = s.cfg.Chips
 	}
 	if chips < 1 {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: need >= 1", req.Chips)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: need >= 1", req.Chips)
 		return
 	}
 	var spec *workload.Spec
 	switch {
 	case req.Bench != "" && req.Spec != nil:
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "set either bench or spec, not both")
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "set either bench or spec, not both")
 		return
 	case req.Bench != "":
 		spec, err = workload.Get(req.Bench)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, "unknown bench %q (known: %s)",
+			httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "unknown bench %q (known: %s)",
 				req.Bench, strings.Join(workload.Names(), ", "))
 			return
 		}
 	case req.Spec != nil:
 		spec = req.Spec // UnmarshalJSON already validated it
 	default:
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "one of bench or spec is required")
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "one of bench or spec is required")
 		return
 	}
 
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising spec: %v", err)
+		httpd.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising spec: %v", err)
 		return
 	}
 	key := fmt.Sprintf("analyze|%s|%d|%d|%016x|%016x",

@@ -10,6 +10,7 @@ import (
 	"repro/api"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/httpd"
 )
 
 // The serving ladder: one path, shared by every endpoint that computes an
@@ -85,7 +86,7 @@ func (l *ladder[T]) lookup(ctx context.Context, w http.ResponseWriter, key strin
 	switch {
 	case found && fresh:
 		l.mark(&v, true, "")
-		writeJSON(w, http.StatusOK, v)
+		httpd.WriteJSON(w, http.StatusOK, v)
 		return nil, true
 	case found:
 		return &v, false
@@ -116,7 +117,7 @@ func (l *ladder[T]) serve(w http.ResponseWriter, r *http.Request, key string, co
 			l.s.met.timeouts.Add(1)
 			cause := "request expired awaiting coalesced " + l.op
 			if !l.serveStale(w, stale, cause) {
-				writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "%s: %v", cause, ctx.Err())
+				httpd.WriteError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "%s: %v", cause, ctx.Err())
 			}
 			return
 		}
@@ -171,25 +172,25 @@ func (l *ladder[T]) render(w http.ResponseWriter, f *flight[T], stale *T) {
 	var ce clientError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, f.val)
+		httpd.WriteJSON(w, http.StatusOK, f.val)
 	case errors.Is(err, errFlightShed):
 		s.met.shed.Add(1)
 		if !l.serveStale(w, stale, "server saturated") {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
+			httpd.WriteError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
 		}
 	case errors.Is(err, errFlightExpired):
 		s.met.timeouts.Add(1)
 		if !l.serveStale(w, stale, "request expired while queued") {
-			writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "%v", err)
+			httpd.WriteError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "%v", err)
 		}
 	case errors.Is(err, errFlightBreaker):
 		if !l.serveStale(w, stale, "probe circuit breaker open") {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, api.CodeBreakerOpen, "probe circuit breaker open, retry later")
+			httpd.WriteError(w, http.StatusServiceUnavailable, api.CodeBreakerOpen, "probe circuit breaker open, retry later")
 		}
 	case errors.As(err, &ce):
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 	case aborted(err):
 		s.met.timeouts.Add(1)
 		switch {
@@ -199,11 +200,11 @@ func (l *ladder[T]) render(w http.ResponseWriter, f *flight[T], stale *T) {
 			// salvaged an answer from the completed work.
 			l.servePartial(w, f.val, f.partial)
 		default:
-			writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "%s aborted: %v", l.op, err)
+			httpd.WriteError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "%s aborted: %v", l.op, err)
 		}
 	default:
 		if !l.serveStale(w, stale, fmt.Sprintf("%s failed (%v)", l.op, err)) {
-			writeError(w, http.StatusInternalServerError, api.CodeProbeFailed, "%s failed: %v", l.op, err)
+			httpd.WriteError(w, http.StatusInternalServerError, api.CodeProbeFailed, "%s failed: %v", l.op, err)
 		}
 	}
 }
@@ -227,7 +228,7 @@ func (l *ladder[T]) serveStale(w http.ResponseWriter, stale *T, cause string) bo
 	l.s.met.degraded.Add(1)
 	l.s.met.staleServed.Add(1)
 	w.Header().Set("Warning", warnHeader(110, reason))
-	writeJSON(w, http.StatusOK, v)
+	httpd.WriteJSON(w, http.StatusOK, v)
 	return true
 }
 
@@ -238,7 +239,7 @@ func (l *ladder[T]) servePartial(w http.ResponseWriter, v T, reason string) {
 	l.s.met.degraded.Add(1)
 	l.s.met.partialServed.Add(1)
 	w.Header().Set("Warning", warnHeader(199, reason))
-	writeJSON(w, http.StatusOK, v)
+	httpd.WriteJSON(w, http.StatusOK, v)
 }
 
 // cacheGet looks up an answer, routing the lookup through the fault

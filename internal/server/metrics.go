@@ -1,21 +1,12 @@
 package server
 
-import (
-	"encoding/json"
-	"net/http"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/report"
-)
+import "sync/atomic"
 
 // metrics is the advisor's observability surface, exported expvar-style as
 // one JSON document on /debug/vars. Counters are lock-free atomics; the
-// latency histogram is the shared report.LatencyHistogram, so the daemon
-// and the experiment tooling summarise latencies identically.
+// request shell (internal/httpd) adds uptime, drain state and the latency
+// histogram to the document.
 type metrics struct {
-	start time.Time
-
 	requests     atomic.Uint64
 	responses2xx atomic.Uint64
 	responses4xx atomic.Uint64
@@ -46,21 +37,11 @@ type metrics struct {
 	placements     atomic.Uint64
 	placeCoalesced atomic.Uint64
 	placePairs     atomic.Uint64
-
-	latency *report.LatencyHistogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:   time.Now(),
-		latency: report.NewLatencyHistogram(),
-	}
-}
-
-// observe records one finished request.
-func (m *metrics) observe(status int, elapsed time.Duration) {
+// observe counts one finished request by status class.
+func (m *metrics) observe(status int) {
 	m.requests.Add(1)
-	m.latency.Observe(elapsed)
 	switch {
 	case status >= 500:
 		m.responses5xx.Add(1)
@@ -83,9 +64,6 @@ func (s *Server) vars() map[string]any {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	return map[string]any{
-		"uptime_seconds": time.Since(s.met.start).Seconds(),
-		"draining":       s.draining.Load(),
-
 		"requests_total": s.met.requests.Load(),
 		"responses_2xx":  s.met.responses2xx.Load(),
 		"responses_4xx":  s.met.responses4xx.Load(),
@@ -128,20 +106,5 @@ func (s *Server) vars() map[string]any {
 
 		"machine_pool":   s.pool.Stats(),
 		"workload_cache": s.progs.Stats(),
-
-		"latency_seconds": s.met.latency.Snapshot(),
-		"latency_summary": s.met.latency.Summary(),
 	}
-}
-
-// handleVars serves /debug/vars.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	body, err := json.MarshalIndent(s.vars(), "", "  ")
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	//lint:ignore errlint the response write is best-effort: the client may have hung up
-	_, _ = w.Write(append(body, '\n'))
 }

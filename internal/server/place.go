@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/api"
+	"repro/internal/httpd"
 	"repro/internal/placement"
 	"repro/internal/xrand"
 )
@@ -28,23 +29,23 @@ func placeKey(canonical []byte) string {
 // handlePlace serves POST /v1/place.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req api.PlaceRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
+	if err := httpd.DecodeJSON(r, &req); err != nil {
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
 		return
 	}
-	d, err := s.reqArch(req.Arch)
+	d, _, err := s.reqParams(req.Arch, 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	in, err := placement.Resolve(d, s.cfg.Chips, req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpd.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	canonical, err := in.Canonical()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising place request: %v", err)
+		httpd.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising place request: %v", err)
 		return
 	}
 	s.places.serve(w, r, placeKey(canonical), func(ctx context.Context) (api.PlaceResponse, string, error) {

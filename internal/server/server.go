@@ -15,27 +15,24 @@
 //
 // The serving path is hardened the way a heavy-traffic deployment needs:
 // bounded worker concurrency with a bounded waiting queue and 429
-// load-shedding beyond it, per-request timeouts wired through context, an
-// LRU recommendation cache keyed by canonical request fingerprints, JSON
-// access logging, and graceful drain (in-flight requests finish; health
-// flips to 503 so load balancers stop sending new work). One generic
-// serving ladder (ladder.go) carries every endpoint through the cache,
-// flight coalescing (coalesce.go), admission, the probe circuit breaker
-// and graceful degradation; the handlers supply only decoding, the key
-// and the computation.
+// load-shedding beyond it and an LRU recommendation cache keyed by
+// canonical request fingerprints. One generic serving ladder (ladder.go)
+// carries every endpoint through the cache, flight coalescing
+// (coalesce.go), admission, the probe circuit breaker and graceful
+// degradation; the handlers supply only decoding, the key and the
+// computation. The request shell around the routes — per-request timeout
+// wired through context, body limit, JSON access log and graceful drain
+// (in-flight requests finish; health flips to 503 so load balancers stop
+// sending new work) — is internal/httpd, shared with smtrouter.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/api"
@@ -43,13 +40,10 @@ import (
 	"repro/internal/controller"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/httpd"
 	"repro/internal/placement"
 	"repro/internal/workload"
 )
-
-// maxBodyBytes bounds request bodies; counter snapshots and workload specs
-// are tiny, so anything near this limit is abuse.
-const maxBodyBytes = 1 << 20
 
 // Config tunes the advisor service.
 type Config struct {
@@ -128,9 +122,6 @@ func (c Config) withDefaults() Config {
 
 // validate rejects nonsensical configurations.
 func (c Config) validate() error {
-	if _, err := resolveArch(c.Arch); err != nil {
-		return err
-	}
 	if c.Chips < 1 {
 		return fmt.Errorf("server: chips %d, need >= 1", c.Chips)
 	}
@@ -172,16 +163,15 @@ type Server struct {
 	brk         *breaker
 	met         *metrics
 	mux         *http.ServeMux
+	shell       *httpd.Shell
 	// recs serves recommendations (/v1/metric, /v1/analyze), places
 	// placements (/v1/place).
-	recs     *ladder[Recommendation]
-	places   *ladder[api.PlaceResponse]
-	probe    probeFunc
-	place    placeFunc
-	pool     *cpu.Pool
-	progs    *workload.Cache
-	draining atomic.Bool
-	logMu    sync.Mutex
+	recs   *ladder[Recommendation]
+	places *ladder[api.PlaceResponse]
+	probe  probeFunc
+	place  placeFunc
+	pool   *cpu.Pool
+	progs  *workload.Cache
 }
 
 // New builds the service from a validated configuration.
@@ -190,9 +180,9 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d, err := resolveArch(cfg.Arch)
+	d, err := arch.ByName(cfg.Arch)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -200,7 +190,7 @@ func New(cfg Config) (*Server, error) {
 		lim:         newLimiter(cfg.Workers, cfg.QueueDepth),
 		cache:       newLRUCache(cfg.CacheSize),
 		brk:         newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		met:         newMetrics(),
+		met:         &metrics{},
 		// At most Workers probes run at once, so Workers machines per
 		// (arch, chips) key covers the steady state.
 		pool: cpu.NewPool(cfg.Workers),
@@ -245,125 +235,34 @@ func New(cfg Config) (*Server, error) {
 		}
 		return engine.Place(ctx, in)
 	}
+	s.shell = httpd.NewShell(cfg.RequestTimeout, cfg.AccessLog, time.Now, s.met.observe)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
+	s.mux.Handle("GET /debug/vars", s.shell.Vars(s.vars))
 	s.mux.HandleFunc("POST /v1/metric", s.handleMetric)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
 	return s, nil
 }
 
-// Handler returns the full request pipeline: routing wrapped with the
-// timeout, metrics and access-logging middleware.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		s.mux.ServeHTTP(rec, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		s.met.observe(rec.status, elapsed)
-		s.accessLog(r, rec.status, rec.bytes, elapsed)
-	})
-}
+// Handler returns the full request pipeline: routing behind the shared
+// request shell (timeout, body limit, metrics and access log).
+func (s *Server) Handler() http.Handler { return s.shell.Wrap(s.mux) }
 
 // BeginDrain flips the server into draining mode: /healthz answers 503 so
 // load balancers stop routing here, while in-flight and queued requests run
 // to completion. Call it just before http.Server.Shutdown.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() { s.shell.BeginDrain() }
 
 // Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// statusRecorder captures the response status and size for logs/metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// accessLog emits one structured JSON line per request.
-func (s *Server) accessLog(r *http.Request, status int, bytes int64, elapsed time.Duration) {
-	if s.cfg.AccessLog == nil {
-		return
-	}
-	line, err := json.Marshal(map[string]any{
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-		"method": r.Method,
-		"path":   r.URL.Path,
-		"status": status,
-		"bytes":  bytes,
-		"dur_ms": float64(elapsed.Microseconds()) / 1000,
-		"remote": r.RemoteAddr,
-	})
-	if err != nil {
-		return
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	//lint:ignore errlint access logging is best-effort by design: a full log disk must not fail requests
-	_, _ = s.cfg.AccessLog.Write(append(line, '\n'))
-}
-
-// resolveArch maps a request/config architecture name to its description.
-func resolveArch(name string) (*arch.Desc, error) {
-	switch strings.ToLower(name) {
-	case "power7", "p7":
-		return arch.POWER7(), nil
-	case "nehalem", "i7":
-		return arch.Nehalem(), nil
-	case "smt8", "genericsmt8":
-		return arch.GenericSMT8(), nil
-	default:
-		return nil, fmt.Errorf("server: unknown architecture %q (want power7, nehalem or smt8)", name)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		// Marshal of the server's own response types cannot fail; if it
-		// ever does, a 500 with no body beats a silently truncated 200.
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	//lint:ignore errlint the response write is best-effort: the client may have hung up, and the status is already committed
-	_, _ = w.Write(append(body, '\n'))
-}
-
-// writeError emits the api.Error envelope every non-2xx response carries:
-// a human-readable message under "error" and the machine-readable code
-// clients branch on.
-func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...), Code: code})
-}
+func (s *Server) Draining() bool { return s.shell.Draining() }
 
 // handleHealthz answers liveness probes; a draining server reports 503 so
 // balancers stop sending new work while in-flight requests finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if s.shell.Draining() {
+		httpd.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpd.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -178,7 +178,7 @@ stage_race() {
 	go run ./cmd/smtlint -run racecover ./...
 	step "race detector (concurrent packages)"
 	go test -race -count=1 ./internal/experiments ./internal/cpu ./internal/sched \
-		./internal/server ./internal/router ./internal/report ./internal/fault \
+		./internal/server ./internal/router ./internal/httpd ./internal/report ./internal/fault \
 		./internal/controller ./internal/workload ./internal/placement ./client
 	# Chip-parallel determinism, explicitly: batched simulation must be
 	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
@@ -192,6 +192,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz FuzzHandlers -fuzztime 10s ./internal/server
+	go test -run '^$' -fuzz FuzzPlaceCanonical -fuzztime 10s ./internal/placement
 }
 
 run_stage() {
