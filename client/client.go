@@ -195,7 +195,7 @@ func post[T any](ctx context.Context, c *Client, path string, payload any) (T, e
 			return rec, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || !retryable(err) || a == c.cfg.MaxAttempts-1 {
+		if ctx.Err() != nil || !Retryable(err) || a == c.cfg.MaxAttempts-1 {
 			break
 		}
 		delay := c.backoff(a)
@@ -301,10 +301,13 @@ func decodeError(status int, raw []byte) error {
 	return &api.Error{Message: msg, Status: status}
 }
 
-// retryable reports whether an attempt error is worth retrying: an
+// Retryable reports whether an attempt error is worth retrying: an
 // api.Error that says so, or any transport-level failure that is not the
-// caller's own cancellation.
-func retryable(err error) bool {
+// caller's own cancellation. A failure the server would reproduce verbatim
+// — bad request, deterministic probe failure — is not retryable. The
+// router applies the same rule to decide whether a failed forward may
+// fall back to the next replica.
+func Retryable(err error) bool {
 	var e *api.Error
 	if errors.As(err, &e) {
 		return e.Retryable()

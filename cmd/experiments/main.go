@@ -321,27 +321,10 @@ func (r *runner) scatterFigure(ctx context.Context, fig string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	m := r.matrix(sys)
-	var res experiments.FigResult
-	switch fig {
-	case "6":
-		res = experiments.Fig6(ctx, m)
-	case "8":
-		res = experiments.Fig8(ctx, m)
-	case "9":
-		res = experiments.Fig9(ctx, m)
-	case "10":
-		res = experiments.Fig10(ctx, m)
-	case "11":
-		res = experiments.Fig11(ctx, m)
-	case "12":
-		res = experiments.Fig12(ctx, m)
-	case "13":
-		res = experiments.Fig13(ctx, m)
-	case "14":
-		res = experiments.Fig14(ctx, m)
-	case "15":
-		res = experiments.Fig15(ctx, m)
+	res, err := experiments.Figure(ctx, fig, r.matrix(sys))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	fmt.Printf("== Fig. %s: %s ==\n", fig, res.Title)
 	t := report.NewTable("bench", "metric", "speedup", "classified")

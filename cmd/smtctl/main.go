@@ -1,7 +1,8 @@
 // Command smtctl mirrors AIX's smtctl workflow on the simulated machine: it
-// measures a workload's SMT-selection metric at the current (highest) SMT
-// level, decides whether to switch, applies the change, and reports the
-// outcome against a brute-force sweep of all levels.
+// reads a workload's SMT-selection metric at the current (highest) SMT
+// level, decides whether to switch, walks down the levels while the metric
+// stays above the threshold, and reports the outcome against a brute-force
+// sweep of all levels. Each level is simulated once.
 //
 // Usage:
 //
@@ -62,71 +63,56 @@ func main() {
 		os.Exit(2)
 	}
 
-	m, err := smtselect.NewMachine(d, *chips)
+	// Every SMT level is simulated once: the walk-down below and the
+	// ground-truth sweep read the same per-level measurements.
+	fmt.Printf("measuring %s at SMT%d (hardware default) ...\n", spec.Name, d.MaxSMT)
+	best, all, err := smtselect.BestSMTLevel(context.Background(), d, *chips, spec, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	// Step 1: measure at the hardware default (the highest SMT level).
-	fmt.Printf("measuring %s at SMT%d (hardware default) ...\n", spec.Name, d.MaxSMT)
-	res, err := smtselect.RunWorkload(context.Background(), m, spec, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	// Step 1: the measurement at the hardware default (the highest level).
+	res := all[d.MaxSMT]
 	fmt.Printf("  %d cycles; SMTsm = %.4f (mix %.4f × held %.4f × scal %.3f)\n",
 		res.WallCycles, res.Metric.Value,
 		res.Metric.MixDeviation, res.Metric.DispHeld, res.Metric.Scalability)
 
 	// Step 2: decide.
+	level := d.MaxSMT
 	if !smtselect.PredictLowerSMT(res.Metric, *thresh) {
 		fmt.Printf("metric %.4f <= threshold %.4f: keeping SMT%d\n",
 			res.Metric.Value, *thresh, d.MaxSMT)
 	} else {
 		fmt.Printf("metric %.4f > threshold %.4f: switching to a lower SMT level\n",
 			res.Metric.Value, *thresh)
-		// Walk down levels while the metric stays above threshold,
-		// re-measuring at each stop (each lower level re-runs the work
-		// with proportionally fewer threads, as the paper's methodology
-		// does).
+		// Walk down levels while the metric stays above threshold; each
+		// lower level runs the work with proportionally fewer threads, as
+		// the paper's methodology does.
 		levels := d.SMTLevels
 		for i := len(levels) - 2; i >= 0; i-- {
-			level := levels[i]
-			if err := m.SetSMTLevel(level); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			r, err := smtselect.RunWorkload(context.Background(), m, spec, *seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			level = levels[i]
+			r := all[level]
 			fmt.Printf("  smtctl -t %d: %d cycles; SMTsm = %.4f\n", level, r.WallCycles, r.Metric.Value)
 			if !smtselect.PredictLowerSMT(r.Metric, *thresh) {
 				break
 			}
 		}
-		fmt.Printf("settled at SMT%d\n", m.SMTLevel())
+		fmt.Printf("settled at SMT%d\n", level)
 	}
 
 	// Step 3: ground truth.
 	fmt.Println("\nbrute-force sweep (ground truth):")
-	best, all, err := smtselect.BestSMTLevel(context.Background(), d, *chips, spec, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, level := range d.SMTLevels {
+	for _, l := range d.SMTLevels {
 		mark := " "
-		if level == best {
+		if l == best {
 			mark = "*"
 		}
-		fmt.Printf(" %s SMT%d: %d cycles\n", mark, level, all[level].WallCycles)
+		fmt.Printf(" %s SMT%d: %d cycles\n", mark, l, all[l].WallCycles)
 	}
-	if m.SMTLevel() == best {
+	if level == best {
 		fmt.Println("\nsmtctl's choice matches the ground-truth optimum")
 	} else {
-		fmt.Printf("\nsmtctl chose SMT%d; ground-truth optimum is SMT%d\n", m.SMTLevel(), best)
+		fmt.Printf("\nsmtctl chose SMT%d; ground-truth optimum is SMT%d\n", level, best)
 	}
 }

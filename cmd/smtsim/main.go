@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/controller"
 	"repro/internal/cpu"
 	"repro/internal/prof"
-	"repro/internal/smtsm"
 	"repro/internal/workload"
 )
 
@@ -75,17 +75,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	threads := m.HardwareThreads()
-	inst, err := workload.Instantiate(spec, threads, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
 	fmt.Printf("%s on %s (%d chip(s), %d cores) @ SMT%d with %d software threads\n",
-		spec.Name, d.Name, m.NumChips(), m.NumCores(), level, threads)
+		spec.Name, d.Name, m.NumChips(), m.NumCores(), level, m.HardwareThreads())
 
-	// Profile exactly the simulation; flag typos fail here, before the run.
+	// Profile exactly the measurement; flag typos fail here, before the run.
 	// The profiler is stopped explicitly (not deferred) so this function
 	// keeps its straight-line os.Exit error handling.
 	profiler, profErr := prof.Start(*cpuProfile, *memProfile)
@@ -95,25 +88,24 @@ func main() {
 	}
 
 	t0 := time.Now()
-	wall, err := m.RunContext(context.Background(), inst.Sources(), *maxCycles)
+	res, err := controller.RunOn(context.Background(), m, nil, spec, *seed, *maxCycles)
 	hostDur := time.Since(t0)
 	if stopErr := profiler.Stop(); stopErr != nil {
 		fmt.Fprintln(os.Stderr, stopErr)
 		os.Exit(1)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "run: %v (after %d cycles)\n", err, wall)
+		fmt.Fprintf(os.Stderr, "run: %v (after %d cycles)\n", err, res.WallCycles)
 		os.Exit(1)
 	}
 
-	snap := m.Counters()
 	fmt.Printf("\nwall: %d cycles  (host %.2fs, %.2f Mcycles/s, %.2f Minstr/s)\n",
-		wall, hostDur.Seconds(),
-		float64(wall)/1e6/hostDur.Seconds(),
-		float64(snap.Retired)/1e6/hostDur.Seconds())
+		res.WallCycles, hostDur.Seconds(),
+		float64(res.WallCycles)/1e6/hostDur.Seconds(),
+		float64(res.Snapshot.Retired)/1e6/hostDur.Seconds())
 	fmt.Printf("useful instructions: %d, spin instructions: %d\n\n",
-		inst.UsefulInstrs(), inst.SpinInstrs())
-	fmt.Print(snap.String())
+		res.UsefulInstrs, res.SpinInstrs)
+	fmt.Print(res.Snapshot.String())
 	fmt.Println()
-	fmt.Print(smtsm.Compute(d, &snap).String())
+	fmt.Print(res.Metric.String())
 }

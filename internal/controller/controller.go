@@ -193,84 +193,98 @@ func RunAdaptiveContext(ctx context.Context, m *cpu.Machine, ctrl *Controller, s
 	return log, total, nil
 }
 
-// ProbeResult is the outcome of one max-SMT-level measurement probe: the
-// wall time, the counter snapshot, and the metric breakdown computed from
-// it. It carries everything an advisor needs to issue a recommendation.
+// ProbeResult is the outcome of one solo measurement — the workload run
+// with one software thread per hardware thread at one SMT level, the
+// paper's single measuring step: the wall time, the counter snapshot, and
+// the metric breakdown computed from it. It carries everything an advisor
+// needs to issue a recommendation.
 type ProbeResult struct {
-	// WallCycles is the probe run's simulated wall-clock time.
+	// WallCycles is the run's simulated wall-clock time.
 	WallCycles int64
 	// Snapshot is the cumulative counter snapshot after the run.
 	Snapshot counters.Snapshot
 	// Metric is the SMT-selection metric evaluated on the snapshot.
 	Metric smtsm.Breakdown
+	// UsefulInstrs and SpinInstrs split the instructions the workload's
+	// threads emitted into real work and lock spinning.
+	UsefulInstrs, SpinInstrs int64
+}
+
+// RunOn is the one solo-run path: it stamps spec for every hardware thread
+// m exposes at its current SMT level (compiled through progs; a nil cache
+// compiles per call), runs it on m for at most maxCycles (0 = unbounded)
+// and measures the result. m is used as is: callers hand it over fresh
+// (pooled, or Reset) so runs stay comparable.
+//
+// Cancellation mirrors cpu.Machine.RunContext: alongside the run's error,
+// RunOn returns the PARTIAL result measured up to the interruption — the
+// wall cycles simulated so far, the counter snapshot at that point, and
+// the metric computed over it — instead of discarding completed work.
+// Callers that can tolerate an approximate answer (the advisor's degraded
+// path) inspect the partial snapshot; callers that cannot simply honour
+// the error.
+func RunOn(ctx context.Context, m *cpu.Machine, progs *workload.Cache, spec *workload.Spec, seed uint64, maxCycles int64) (ProbeResult, error) {
+	inst, err := progs.Instantiate(spec, m.HardwareThreads(), seed)
+	if err != nil {
+		return ProbeResult{}, err
+	}
+	wall, err := m.RunContext(ctx, inst.Sources(), maxCycles)
+	snap := m.Counters()
+	res := ProbeResult{
+		WallCycles:   wall,
+		Snapshot:     snap,
+		Metric:       smtsm.Compute(m.Arch(), &snap),
+		UsefulInstrs: inst.UsefulInstrs(),
+		SpinInstrs:   inst.SpinInstrs(),
+	}
+	if err != nil {
+		return res, fmt.Errorf("probe %s@SMT%d: %w", spec.Name, m.SMTLevel(), err)
+	}
+	return res, nil
 }
 
 // Prober bundles the two amortization layers a hot probe path wants: a
 // machine pool (reuses simulated machines across probes) and a workload
 // program cache (reuses compiled instruction-stream tables across probes of
-// the same spec). Both fields are optional — a zero Prober builds machines
-// and compiles workloads per call — so callers opt into exactly the reuse
+// the same spec). Both fields are optional — nil builds machines and
+// compiles workloads per call — so callers opt into exactly the reuse
 // they need. The results are bit-identical either way.
 type Prober struct {
 	Pool  *cpu.Pool
 	Cache *workload.Cache
 }
 
-// Probe measures spec at the architecture's maximum SMT level — the only
-// level at which the paper shows the metric is trustworthy — under ctx, and
-// returns the counter snapshot and metric breakdown. It borrows the machine
-// from p.Pool and the compiled workload from p.Cache when present. The
-// context is polled cooperatively by the simulator, so a caller can bound
-// the probe with a deadline or cancel it when a client disconnects.
-//
-// Cancellation mirrors cpu.Machine.RunContext: alongside the context's
-// error, Probe returns the PARTIAL result measured up to the interruption
-// — the wall cycles simulated so far, the counter snapshot at that point,
-// and the metric computed over it — instead of discarding completed work.
-// Callers that can tolerate an approximate answer (the advisor's degraded
-// path) inspect the partial snapshot; callers that cannot simply honour
-// the error.
-func (p *Prober) Probe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
+// RunAt measures spec solo on a chips-chip machine of architecture d at
+// SMT level smt, borrowed from p.Pool, through RunOn. The context is
+// polled cooperatively by the simulator, so a caller can bound the run
+// with a deadline or cancel it when a client disconnects.
+func (p *Prober) RunAt(ctx context.Context, d *arch.Desc, chips, smt int, spec *workload.Spec, seed uint64, maxCycles int64) (ProbeResult, error) {
 	// The simulator polls ctx only every few thousand simulated cycles; a
-	// short probe can finish before the first poll, so check up front that
+	// short run can finish before the first poll, so check up front that
 	// the caller still wants the result.
 	if err := ctx.Err(); err != nil {
 		return ProbeResult{}, err
 	}
-	var m *cpu.Machine
-	var err error
-	if p.Pool != nil {
-		m, err = p.Pool.Get(d, chips)
-	} else {
-		m, err = cpu.NewMachine(d, chips)
-	}
+	m, err := p.Pool.Get(d, chips)
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	if p.Pool != nil {
-		defer p.Pool.Put(m)
-	}
+	defer p.Pool.Put(m)
 	// A pool Get can block behind other borrowers; the deadline may have
-	// passed while this probe waited for a machine, so re-check before
+	// passed while this run waited for a machine, so re-check before
 	// spending simulation time.
 	if err := ctx.Err(); err != nil {
 		return ProbeResult{}, err
 	}
-	inst, err := p.Cache.Instantiate(spec, m.HardwareThreads(), seed)
-	if err != nil {
+	if err := m.SetSMTLevel(smt); err != nil {
 		return ProbeResult{}, err
 	}
-	wall, err := m.RunContext(ctx, inst.Sources(), 0)
-	snap := m.Counters()
-	res := ProbeResult{
-		WallCycles: wall,
-		Snapshot:   snap,
-		Metric:     smtsm.Compute(d, &snap),
-	}
-	if err != nil {
-		// RunContext already reported the cycles completed before the
-		// interruption; hand the partial observation up with the error.
-		return res, fmt.Errorf("probe %s@SMT%d: %w", spec.Name, m.SMTLevel(), err)
-	}
-	return res, nil
+	return RunOn(ctx, m, p.Cache, spec, seed, maxCycles)
+}
+
+// Probe measures spec at the architecture's maximum SMT level — the only
+// level at which the paper shows the metric is trustworthy — with no cycle
+// cap; see RunAt and RunOn.
+func (p *Prober) Probe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
+	return p.RunAt(ctx, d, chips, d.MaxSMT, spec, seed, 0)
 }

@@ -107,3 +107,31 @@ func TestRunAdaptiveContextCancelled(t *testing.T) {
 		t.Fatalf("cancelled-before-start run logged %d intervals", len(log))
 	}
 }
+
+// TestRunAtLevelAndCap: RunAt runs at the requested level, reports the
+// instruction split, and a cycle cap surfaces ErrCycleLimit alongside the
+// partial result.
+func TestRunAtLevelAndCap(t *testing.T) {
+	d := arch.POWER7()
+	p := &Prober{Pool: cpu.NewPool(1), Cache: workload.NewCache(0)}
+	res, err := p.RunAt(context.Background(), d, 1, 2, tinySpec(), 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.SMTLevel != 2 {
+		t.Fatalf("ran at SMT%d, want SMT2", res.Snapshot.SMTLevel)
+	}
+	if res.UsefulInstrs <= 0 {
+		t.Fatalf("useful instructions %d, want > 0", res.UsefulInstrs)
+	}
+	capped, err := p.RunAt(context.Background(), d, 1, 2, tinySpec(), 42, res.WallCycles/2)
+	if !errors.Is(err, cpu.ErrCycleLimit) {
+		t.Fatalf("err = %v, want ErrCycleLimit", err)
+	}
+	if capped.WallCycles <= 0 || capped.Snapshot.Retired == 0 {
+		t.Fatalf("capped run lost its partial result: %+v", capped)
+	}
+	if _, err := p.RunAt(context.Background(), d, 1, 3, tinySpec(), 42, 0); err == nil {
+		t.Fatal("RunAt accepted an SMT level the architecture does not expose")
+	}
+}

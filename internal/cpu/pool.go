@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/arch"
@@ -39,8 +38,9 @@ type PoolStats struct {
 // the clock, and the SMT level and engine are restored to their
 // construction defaults. TestPoolIdentity pins this.
 //
-// The zero Pool is not usable; build one with NewPool. All methods are safe
-// for concurrent use.
+// The zero Pool is not usable; build one with NewPool. A nil *Pool is valid
+// and pools nothing: Get builds a fresh machine, Put drops it and Stats
+// reports zeros. All methods are safe for concurrent use.
 type Pool struct {
 	mu        sync.Mutex
 	idle      map[PoolKey][]*Machine
@@ -67,7 +67,7 @@ func NewPool(maxPerKey int) *Pool {
 // level, and the default engine.
 func (p *Pool) Get(d *arch.Desc, chips int) (*Machine, error) {
 	if p == nil {
-		return nil, errors.New("cpu: nil pool")
+		return NewMachine(d, chips)
 	}
 	key := PoolKey{Arch: d.Name, Chips: chips}
 	p.mu.Lock()
@@ -114,6 +114,9 @@ func (p *Pool) Put(m *Machine) {
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats {
+	if p == nil {
+		return PoolStats{}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{

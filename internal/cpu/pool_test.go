@@ -147,3 +147,20 @@ func TestPoolConcurrent(t *testing.T) {
 		t.Fatalf("stats = %+v, want 80 gets", st)
 	}
 }
+
+// TestNilPool pins the nil-pool contract the probe and placement paths
+// rely on: Get builds a fresh machine, Put drops it, Stats reports zeros.
+func TestNilPool(t *testing.T) {
+	var p *Pool
+	m, err := p.Get(arch.Nehalem(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SMTLevel() != m.Arch().MaxSMT {
+		t.Fatalf("nil-pool machine at SMT%d, want SMT%d", m.SMTLevel(), m.Arch().MaxSMT)
+	}
+	p.Put(m)
+	if st := p.Stats(); st != (PoolStats{}) {
+		t.Fatalf("nil pool stats = %+v, want zeros", st)
+	}
+}

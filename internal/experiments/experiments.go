@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/controller"
 	"repro/internal/counters"
 	"repro/internal/cpu"
 	"repro/internal/smtsm"
@@ -87,17 +88,17 @@ type Matrix struct {
 
 	mu    sync.Mutex
 	cells map[string]*cellEntry
-	// archDesc is a cached description for metric evaluation.
+	// archDesc is the system's architecture description, built once.
 	archDesc *arch.Desc
-	// pool recycles simulated machines across cells. A pooled machine is
+	// prober runs each cell through the one solo-run path. Its pool
+	// recycles simulated machines across cells (a pooled machine is
 	// scrubbed to freshly-constructed state by Get, so cell results stay
-	// bit-identical to the fresh-machine-per-cell behavior.
-	pool *cpu.Pool
-	// progs caches compiled workload programs across cells: a benchmark's
-	// per-level cells differ only in thread count, but re-sweeps, figure
-	// renders and the ablation grid revisit identical (spec, threads, seed)
-	// triples and stamp instances from one shared immutable Program.
-	progs *workload.Cache
+	// bit-identical to a fresh machine per cell); its cache shares
+	// compiled workload programs across cells, since re-sweeps, figure
+	// renders and the ablation grid revisit identical (spec, threads,
+	// seed) triples. The pool is the matrix's own: pool keys name the
+	// architecture, and every sensitivity variant is named POWER7.
+	prober controller.Prober
 }
 
 // cellEntry is the singleflight slot for one (bench, smt) cell: the first
@@ -115,8 +116,7 @@ func NewMatrix(sys System, seed uint64) *Matrix {
 		Seed:     seed,
 		cells:    map[string]*cellEntry{},
 		archDesc: sys.Arch(),
-		pool:     cpu.NewPool(0),
-		progs:    workload.NewCache(0),
+		prober:   controller.Prober{Pool: cpu.NewPool(0), Cache: workload.NewCache(0)},
 	}
 }
 
@@ -154,13 +154,10 @@ func (m *Matrix) Cell(ctx context.Context, bench string, smt int) *Cell {
 	if e.c != nil {
 		return e.c
 	}
-	if err := ctx.Err(); err != nil {
-		// Canceled before we started: report without running or caching.
-		return &Cell{Bench: bench, SMT: smt, Err: err}
-	}
 	c := m.run(ctx, bench, smt)
-	if c.Err != nil && errors.Is(c.Err, cpu.ErrCanceled) {
-		// Interrupted mid-run: hand back the partial result uncached.
+	if errors.Is(c.Err, context.Canceled) || errors.Is(c.Err, context.DeadlineExceeded) {
+		// Interrupted before or during the run (cpu.ErrCanceled wraps the
+		// context error): hand back the partial result uncached.
 		return c
 	}
 	e.c = c
@@ -199,36 +196,16 @@ func (m *Matrix) Cached() []*Cell {
 	return out
 }
 
-// run executes one cell: a fresh-state machine (pooled, scrubbed by Get to
-// cold caches and zeroed counters), the workload
-// instantiated with one software thread per hardware thread (the paper's
-// methodology), run to completion.
+// run executes one cell through the solo-run path: a fresh-state machine
+// at level smt, the workload instantiated with one software thread per
+// hardware thread (the paper's methodology), run to completion.
 func (m *Matrix) run(ctx context.Context, bench string, smt int) *Cell {
-	c := &Cell{Bench: bench, SMT: smt}
 	spec, err := workload.Get(bench)
 	if err != nil {
-		c.Err = err
-		return c
+		return &Cell{Bench: bench, SMT: smt, Err: err}
 	}
-	mach, err := m.pool.Get(m.Sys.Arch(), m.Sys.Chips)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	defer m.pool.Put(mach)
-	if err := mach.SetSMTLevel(smt); err != nil {
-		c.Err = err
-		return c
-	}
-	inst, err := m.progs.Instantiate(spec, mach.HardwareThreads(), m.Seed)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	c.Wall, c.Err = mach.RunContext(ctx, inst.Sources(), MaxRunCycles)
-	c.Snap = mach.Counters()
-	c.Metric = smtsm.Compute(m.archDesc, &c.Snap)
-	return c
+	r, err := m.prober.RunAt(ctx, m.archDesc, m.Sys.Chips, smt, spec, m.Seed, MaxRunCycles)
+	return &Cell{Bench: bench, SMT: smt, Wall: r.WallCycles, Snap: r.Snapshot, Metric: r.Metric, Err: err}
 }
 
 // Speedup returns wall(smtLow)/wall(smtHigh) for a benchmark: >1 means the

@@ -38,7 +38,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Tunable defaults of the scoring pass.
+// Fixed parameters of the scoring pass.
 const (
 	// DefaultScoreCycles caps each pair co-run. Pair scoring needs a
 	// representative contention interval, not a completed run, so the cap
@@ -246,24 +246,6 @@ func (in *Input) Fingerprint() (string, error) {
 type Engine struct {
 	Pool  *cpu.Pool
 	Cache *workload.Cache
-	// ScoreCycles caps each pair co-run (0 = DefaultScoreCycles).
-	ScoreCycles int64
-	// MaxChunk bounds the pair co-runs per batched pass (0 = DefaultMaxChunk).
-	MaxChunk int
-}
-
-func (e *Engine) scoreCycles() int64 {
-	if e.ScoreCycles > 0 {
-		return e.ScoreCycles
-	}
-	return DefaultScoreCycles
-}
-
-func (e *Engine) maxChunk() int {
-	if e.MaxChunk > 0 {
-		return e.MaxChunk
-	}
-	return DefaultMaxChunk
 }
 
 // pair identifies one co-locatable workload pair by index, i <= j.
@@ -355,16 +337,11 @@ func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api.PairScore, map[pair]float64, error) {
 	matrix := make(map[pair]float64, len(pairs))
 	var list []api.PairScore
-	chunk := e.maxChunk()
-	for start := 0; start < len(pairs); start += chunk {
+	for start := 0; start < len(pairs); start += DefaultMaxChunk {
 		if err := ctx.Err(); err != nil {
 			return list, matrix, err
 		}
-		end := start + chunk
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		cps := pairs[start:end]
+		cps := pairs[start:min(start+DefaultMaxChunk, len(pairs))]
 		groups := make([][]isa.Source, len(cps))
 		for k, p := range cps {
 			src, err := e.pairSources(in, p)
@@ -373,20 +350,12 @@ func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api
 			}
 			groups[k] = src
 		}
-		var m *cpu.Machine
-		var err error
-		if e.Pool != nil {
-			m, err = e.Pool.Get(in.Desc, len(cps))
-		} else {
-			m, err = cpu.NewMachine(in.Desc, len(cps))
-		}
+		m, err := e.Pool.Get(in.Desc, len(cps))
 		if err != nil {
 			return list, matrix, err
 		}
-		res, err := m.RunBatch(ctx, groups, 1, e.scoreCycles())
-		if e.Pool != nil {
-			e.Pool.Put(m)
-		}
+		res, err := m.RunBatch(ctx, groups, 1, DefaultScoreCycles)
+		e.Pool.Put(m)
 		if err != nil {
 			return list, matrix, err
 		}

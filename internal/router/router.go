@@ -294,20 +294,6 @@ func (rt *Router) handlePlace(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// fallbackEligible reports whether a forward failure may be retried on the
-// next replica: transport-level failures (the shard-kill case) and
-// server-reported transient failures qualify; a failure the replica would
-// reproduce verbatim — bad request, deterministic probe failure — must
-// propagate instead, or every malformed request would burn the whole
-// replica set.
-func fallbackEligible(err error) bool {
-	var e *api.Error
-	if errors.As(err, &e) {
-		return e.Retryable()
-	}
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
 // forward routes one request: it derives the replica preference order from
 // the ring, skips shards inside their failure cooldown (unless every
 // candidate is cooling down — then they are tried anyway as a last
@@ -359,7 +345,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, key uint64
 		}
 		sh.failures.Add(1)
 		lastErr = err
-		if !fallbackEligible(err) {
+		if !client.Retryable(err) {
 			rt.propagate(w, err)
 			return
 		}

@@ -11,7 +11,7 @@
 #   test       unit & golden tests
 #   bench      compile and run every benchmark once
 #   benchgate  benchmark-trajectory gate (scripts/bench.sh)
-#   smoke      smtservd boot, /healthz, graceful drain
+#   smoke      smtservd boot, /healthz, graceful drain; one smtsim and one smtctl run
 #   chaos      seeded fault injection against one live smtservd
 #   fleet      router + 2 shards, SIGKILL one shard mid-burst
 #   race       race detector on the concurrent packages
@@ -97,6 +97,11 @@ stage_smoke() {
 	fi
 	kill -TERM "$servd_pid"
 	wait "$servd_pid" || fail "smtservd drain failed (log: $artdir/smoke-smtservd.log)"
+	step "smtsim and smtctl smoke (one solo run; one per-level sweep)"
+	go run ./cmd/smtsim -arch nehalem -bench MG -smt 1 >"$artdir/smoke-smtsim.log" 2>&1 ||
+		fail "smtsim failed (log: $artdir/smoke-smtsim.log)"
+	go run ./cmd/smtctl -arch nehalem -bench MG >"$artdir/smoke-smtctl.log" 2>&1 ||
+		fail "smtctl failed (log: $artdir/smoke-smtctl.log)"
 }
 
 stage_chaos() {

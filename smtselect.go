@@ -41,7 +41,6 @@ package smtselect
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/arch"
 	"repro/internal/controller"
@@ -131,21 +130,16 @@ type RunResult struct {
 // comparable across SMT levels.
 func RunWorkload(ctx context.Context, m *Machine, spec *WorkloadSpec, seed uint64) (RunResult, error) {
 	m.Reset()
-	inst, err := workload.Instantiate(spec, m.HardwareThreads(), seed)
+	r, err := controller.RunOn(ctx, m, nil, spec, seed, 0)
 	if err != nil {
 		return RunResult{}, err
 	}
-	wall, err := m.RunContext(ctx, inst.Sources(), 0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	snap := m.Counters()
 	return RunResult{
-		WallCycles:   wall,
-		Counters:     snap,
-		Metric:       smtsm.Compute(m.Arch(), &snap),
-		UsefulInstrs: inst.UsefulInstrs(),
-		SpinInstrs:   inst.SpinInstrs(),
+		WallCycles:   r.WallCycles,
+		Counters:     r.Snapshot,
+		Metric:       r.Metric,
+		UsefulInstrs: r.UsefulInstrs,
+		SpinInstrs:   r.SpinInstrs,
 	}, nil
 }
 
@@ -157,26 +151,36 @@ func ComputeMetric(d *Arch, s *Counters) Metric { return smtsm.Compute(d, s) }
 // and returns the level with the shortest wall time, along with the per-
 // level results keyed by SMT level. It is the oracle the metric predicts.
 func BestSMTLevel(ctx context.Context, d *Arch, chips int, spec *WorkloadSpec, seed uint64) (int, map[int]RunResult, error) {
-	m, err := cpu.NewMachine(d, chips)
+	results, err := runLevels(ctx, d, chips, spec, seed, d.SMTLevels)
 	if err != nil {
 		return 0, nil, err
 	}
-	results := map[int]RunResult{}
-	best, bestWall := 0, int64(0)
+	best := 0
 	for _, level := range d.SMTLevels {
-		if err := m.SetSMTLevel(level); err != nil {
-			return 0, nil, err
-		}
-		res, err := RunWorkload(ctx, m, spec, seed)
-		if err != nil {
-			return 0, nil, fmt.Errorf("SMT%d: %w", level, err)
-		}
-		results[level] = res
-		if best == 0 || res.WallCycles < bestWall {
-			best, bestWall = level, res.WallCycles
+		if best == 0 || results[level].WallCycles < results[best].WallCycles {
+			best = level
 		}
 	}
 	return best, results, nil
+}
+
+// runLevels measures spec on one chips-chip machine of architecture d at
+// each of levels in turn, keyed by level.
+func runLevels(ctx context.Context, d *Arch, chips int, spec *WorkloadSpec, seed uint64, levels []int) (map[int]RunResult, error) {
+	m, err := cpu.NewMachine(d, chips)
+	if err != nil {
+		return nil, err
+	}
+	results := make(map[int]RunResult, len(levels))
+	for _, level := range levels {
+		if err := m.SetSMTLevel(level); err != nil {
+			return nil, err
+		}
+		if results[level], err = RunWorkload(ctx, m, spec, seed); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // PredictLowerSMT applies the paper's decision rule: given the metric
@@ -208,35 +212,20 @@ type CalibrationResult struct {
 // derives thresholds with both of the paper's procedures. This is the
 // "representative workload set" calibration of Section V.
 func Calibrate(ctx context.Context, d *Arch, chips int, benches []string, seed uint64) (CalibrationResult, error) {
-	m, err := cpu.NewMachine(d, chips)
-	if err != nil {
-		return CalibrationResult{}, err
-	}
-	hi := d.MaxSMT
-	lo := d.SMTLevels[0]
+	hi, lo := d.MaxSMT, d.SMTLevels[0]
 	var pts []threshold.Point
 	for _, b := range benches {
 		spec, err := workload.Get(b)
 		if err != nil {
 			return CalibrationResult{}, err
 		}
-		if err := m.SetSMTLevel(hi); err != nil {
-			return CalibrationResult{}, err
-		}
-		rHi, err := RunWorkload(ctx, m, spec, seed)
+		r, err := runLevels(ctx, d, chips, spec, seed, []int{hi, lo})
 		if err != nil {
-			return CalibrationResult{}, fmt.Errorf("%s@SMT%d: %w", b, hi, err)
-		}
-		if err := m.SetSMTLevel(lo); err != nil {
 			return CalibrationResult{}, err
-		}
-		rLo, err := RunWorkload(ctx, m, spec, seed)
-		if err != nil {
-			return CalibrationResult{}, fmt.Errorf("%s@SMT%d: %w", b, lo, err)
 		}
 		pts = append(pts, threshold.Point{
-			Metric:  rHi.Metric.Value,
-			Speedup: float64(rLo.WallCycles) / float64(rHi.WallCycles),
+			Metric:  r[hi].Metric.Value,
+			Speedup: float64(r[lo].WallCycles) / float64(r[hi].WallCycles),
 			Label:   b,
 		})
 	}
