@@ -189,7 +189,7 @@ stage_race() {
 	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
 	# watching the per-group domain isolation.
 	step "chip-parallel determinism under race"
-	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo' ./internal/cpu
+	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestRunBatchPairShape' ./internal/cpu
 }
 
 stage_fuzz() {
