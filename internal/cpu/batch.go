@@ -121,30 +121,14 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 	for g, srcs := range groups {
 		gi := idx
 		cores := m.cores[g*chipsPer*cpc : (g+1)*chipsPer*cpc]
-		k := 0
 		for _, core := range cores {
-			for ci := 0; ci < core.active; ci++ {
-				cc := core.contexts[ci]
-				if k < len(srcs) {
-					cc.reset(srcs[k])
-					m.threadCtx[idx] = cc
-					idx++
-					k++
-				} else {
-					cc.reset(nil)
-				}
-			}
-			for ci := core.active; ci < len(core.contexts); ci++ {
-				core.contexts[ci].reset(nil)
-			}
+			idx += core.place(srcs[idx-gi:], m.threadCtx[idx:])
 		}
 		m.activeCores += (len(srcs) + m.smtLevel - 1) / m.smtLevel
 		doms[g] = domain{cores: cores, threads: m.threadCtx[gi:idx], now: m.now}
 	}
 	for _, core := range m.cores[len(groups)*chipsPer*cpc:] {
-		for _, cc := range core.contexts {
-			cc.reset(nil)
-		}
+		core.place(nil, nil)
 	}
 
 	deadline := m.now + maxCycles

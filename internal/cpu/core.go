@@ -143,10 +143,37 @@ func (c *Context) reset(src isa.Source) {
 	c.fetchedThisCycle = false
 }
 
-// portRef locates a dispatched instruction from a port queue.
+// place readies the core for a new run: its active contexts take the
+// leading sources of srcs in order (recording each in threads), every other
+// context is cleared, and the port queues are emptied. The queues must be
+// emptied with the contexts: a run cut short by a cycle cap or a cancel
+// leaves queued references to instructions the context reset drops, and
+// the next run on a machine that was not Reset would issue them again.
+// busyUntil survives, like the caches and predictors. It returns the number
+// of sources placed.
+func (c *Core) place(srcs []isa.Source, threads []*Context) int {
+	n := min(len(srcs), c.active)
+	for ci, cc := range c.contexts {
+		if ci < n {
+			cc.reset(srcs[ci])
+			threads[ci] = cc
+		} else {
+			cc.reset(nil)
+		}
+	}
+	for p := range c.ports {
+		c.ports[p].clear()
+	}
+	return n
+}
+
+// portRef locates a dispatched instruction from a port queue. readyAt is a
+// copy of the entry's cached readiness bound, so the issue scan can pass
+// over a not-yet-ready entry without loading it from the history ring.
 type portRef struct {
-	seq int64
-	ctx uint8
+	seq     int64
+	readyAt int64
+	ctx     uint8
 }
 
 // portQueue is one issue port's queue, shared by the core's contexts. The
@@ -158,6 +185,10 @@ type portQueue struct {
 	cap       int
 	head, n   int
 	busyUntil int64 // for unpipelined ops and extra-port consumption
+	// wakeAt is the smallest readiness bound of the port's last scan that
+	// issued nothing: no queued entry can issue before it, so stepIssue
+	// skips the port until then. push clears it.
+	wakeAt int64
 }
 
 func (q *portQueue) init(capacity int) {
@@ -176,10 +207,15 @@ func (q *portQueue) empty() bool { return q.n == 0 }
 func (q *portQueue) push(r portRef) {
 	q.refs[(q.head+q.n)&q.mask] = r
 	q.n++
+	q.wakeAt = 0
 }
 
 // at returns the i-th oldest reference.
-func (q *portQueue) at(i int) portRef { return q.refs[(q.head+i)&q.mask] }
+func (q *portQueue) at(i int) *portRef { return &q.refs[(q.head+i)&q.mask] }
+
+// clear empties the queue. busyUntil survives: it is pipeline state, not
+// queue content.
+func (q *portQueue) clear() { q.head, q.n, q.wakeAt = 0, 0, 0 }
 
 // removeAt deletes the i-th oldest reference, preserving order.
 func (q *portQueue) removeAt(i int) {
@@ -228,6 +264,9 @@ type Core struct {
 	busyEnd     bool
 	idleProbe   bool
 	idleExact   bool
+	// macroLive marks the cores the current macro span steps (occupied at
+	// span entry); see macroStep.
+	macroLive bool
 
 	// Counters (see counters.Snapshot for semantics).
 	dispHeldCycles uint64
@@ -280,7 +319,8 @@ func (c *Core) setSMT(level int) {
 // resetState clears microarchitectural and counter state.
 func (c *Core) resetState() {
 	for p := range c.ports {
-		c.ports[p].head, c.ports[p].n, c.ports[p].busyUntil = 0, 0, 0
+		c.ports[p].clear()
+		c.ports[p].busyUntil = 0
 	}
 	c.pred.Reset()
 	c.l1.Reset()
@@ -421,29 +461,38 @@ func (ctx *Context) ready(e *entry, now int64) (bool, int64) {
 	return bound <= now, bound
 }
 
-// stepIssue issues at most one ready instruction per free port.
+// stepIssue issues at most one ready instruction per free port: the oldest
+// queued entry whose operands are ready. The readiness bounds it caches
+// (per entry, on its port reference and per port) are lower bounds, by the
+// argument of engine.go invariant 1, so skipping on them never changes
+// which instruction issues or when.
 func (c *Core) stepIssue(now int64) {
 	for p := range c.ports {
 		q := &c.ports[p]
-		if q.busyUntil > now || q.empty() {
+		if q.busyUntil > now || q.wakeAt > now || q.empty() {
 			continue
 		}
+		wake := unknownCycle
 		for i := 0; i < q.n; i++ {
 			r := q.at(i)
-			ctx := c.contexts[r.ctx]
-			e := &ctx.entries[r.seq&histMask]
-			if e.readyAt > now {
+			if r.readyAt > now {
+				wake = min(wake, r.readyAt)
 				continue
 			}
+			ctx := c.contexts[r.ctx]
+			e := &ctx.entries[r.seq&histMask]
 			ok, bound := ctx.ready(e, now)
 			if !ok {
-				e.readyAt = bound
+				e.readyAt, r.readyAt = bound, bound
+				wake = min(wake, bound)
 				continue
 			}
 			c.issue(ctx, e, p, now)
 			q.removeAt(i)
+			wake = 0
 			break
 		}
+		q.wakeAt = wake
 	}
 }
 

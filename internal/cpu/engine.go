@@ -143,6 +143,18 @@ func (c *Core) macroRun() int64 {
 	return run
 }
 
+// occupied reports whether any active context on the core is unfinished.
+// A core that is not occupied also has empty port queues: every queued
+// instruction belongs to an unretired window entry of the current run.
+func (c *Core) occupied() bool {
+	for i := 0; i < c.active; i++ {
+		if !c.contexts[i].finished {
+			return true
+		}
+	}
+	return false
+}
+
 // allHot reports whether every core is due to step within the hot horizon
 // or has no scheduled event at all (with no probed-idle context in the
 // machine, the latter means fully finished). A core with a distant future
@@ -189,17 +201,31 @@ func (d *domain) macroSpan(deadline int64) int64 {
 
 // macroStep bulk-executes cycles [from, from+span) — the exact scan-engine
 // stage sequence per cycle — and applies the elided per-cycle accounting
-// arithmetically (see the macro-stepping invariants above). Pending
-// fast-forwards are settled first so stale cores (due exactly at from, or
-// fully finished) enter the stretch with their bookkeeping current.
+// arithmetically (see the macro-stepping invariants above).
+//
+// Only occupied cores (some context unfinished) step. A core with every
+// context finished — an empty core of a pair co-run, or one whose threads
+// are done — has nothing to retire, issue, dispatch or fetch, so its steps
+// would only rotate the round-robin pointers; it keeps its lastStepped and
+// its neverEvent, and the run loop's settleCores credits the rotation when
+// the run ends. No context finishes mid-span, so the occupied set holds for
+// the whole span. Occupied cores settle pending fast-forwards first so they
+// enter the stretch with their bookkeeping current.
 func (d *domain) macroStep(from, span int64) {
 	for _, c := range d.cores {
+		c.macroLive = c.occupied()
+		if !c.macroLive {
+			continue
+		}
 		if k := from - 1 - c.lastStepped; k > 0 {
 			c.fastForward(c.lastStepped, k)
 		}
 	}
 	for cy := from; cy < from+span; cy++ {
 		for _, c := range d.cores {
+			if !c.macroLive {
+				continue
+			}
 			c.stepRetire(cy)
 			c.stepIssue(cy)
 			c.stepDispatch(cy)
@@ -207,6 +233,9 @@ func (d *domain) macroStep(from, span int64) {
 		}
 	}
 	for _, c := range d.cores {
+		if !c.macroLive {
+			continue
+		}
 		for i := 0; i < c.active; i++ {
 			ctx := c.contexts[i]
 			if !ctx.finished {
@@ -396,7 +425,8 @@ func (c *Core) computeNextEvent(now int64) int64 {
 	// the cached readiness bounds and port busy windows. No entry can issue
 	// before the port's floor (its busy window), so the scan stops at the
 	// first entry already ready by then — the common case on a saturated
-	// port — instead of visiting the whole queue.
+	// port — instead of visiting the whole queue. The bounds are read off
+	// the port references, not the history ring.
 	for p := range c.ports {
 		q := &c.ports[p]
 		if q.empty() {
@@ -409,13 +439,12 @@ func (c *Core) computeNextEvent(now int64) int64 {
 		ev := int64(neverEvent)
 		for i := 0; i < q.n; i++ {
 			r := q.at(i)
-			e := &c.contexts[r.ctx].entries[r.seq&histMask]
-			if e.readyAt <= floor {
+			if r.readyAt <= floor {
 				ev = floor
 				break
 			}
-			if e.readyAt < ev {
-				ev = e.readyAt
+			if r.readyAt < ev {
+				ev = r.readyAt
 			}
 		}
 		if ev <= now+1 {

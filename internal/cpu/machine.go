@@ -300,20 +300,7 @@ func (m *Machine) RunContext(ctx context.Context, sources []isa.Source, maxCycle
 	m.activeCores = (len(sources) + m.smtLevel - 1) / m.smtLevel
 	idx := 0
 	for _, core := range m.cores {
-		for ci := 0; ci < core.active; ci++ {
-			cc := core.contexts[ci]
-			if idx < len(sources) {
-				cc.reset(sources[idx])
-				m.threadCtx[idx] = cc
-				idx++
-			} else {
-				cc.reset(nil)
-			}
-		}
-		// Contexts beyond the SMT level hold no thread.
-		for ci := core.active; ci < len(core.contexts); ci++ {
-			core.contexts[ci].reset(nil)
-		}
+		idx += core.place(sources[idx:], m.threadCtx[idx:])
 	}
 
 	deadline := m.now + maxCycles

@@ -377,3 +377,71 @@ func (b *branchStream) Fetch(now int64, out *isa.Inst) isa.FetchStatus {
 	}
 	return isa.FetchOK
 }
+
+// queuedRefs counts the port-queue references across the machine.
+func queuedRefs(m *Machine) int {
+	n := 0
+	for _, core := range m.cores {
+		for p := range core.ports {
+			n += core.ports[p].n
+		}
+	}
+	return n
+}
+
+// issuedMinusRetired runs MG seed 3, cut to work that finishes, on m to
+// completion and returns how many more instructions it issued than it
+// retired. POWER7 consumes no extra ports, so a clean run returns zero.
+func issuedMinusRetired(t *testing.T, m *Machine) int64 {
+	t.Helper()
+	spec, err := workload.Get("MG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := *spec
+	short.TotalWork = 200_000
+	inst, err := workload.Instantiate(&short, m.HardwareThreads(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Counters()
+	if _, err := m.RunContext(context.Background(), inst.Sources(), 0); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Counters()
+	var issued int64
+	for p := range after.IssuedByPort {
+		issued += int64(after.IssuedByPort[p] - before.IssuedByPort[p])
+	}
+	return issued - int64(after.Retired-before.Retired)
+}
+
+// TestNoPhantomIssueAfterCappedRun is the witness for queue references
+// outliving a capped run: MG seed 3 capped at 50 000 cycles on one POWER7
+// chip leaves instructions queued, and the context reset of the next run
+// drops them. The next run on the same machine, without a Reset, must issue
+// exactly what it retires, as a run on a fresh machine does.
+func TestNoPhantomIssueAfterCappedRun(t *testing.T) {
+	spec, err := workload.Get("MG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newP7(t, 1)
+	inst, err := workload.Instantiate(spec, m.HardwareThreads(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunContext(context.Background(), inst.Sources(), 50_000); !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("capped run: err = %v, want ErrCycleLimit", err)
+	}
+	stale := queuedRefs(m)
+	if stale == 0 {
+		t.Fatal("capped run left no queued instructions; the witness needs some")
+	}
+	if d := issuedMinusRetired(t, newP7(t, 1)); d != 0 {
+		t.Fatalf("fresh machine: issued - retired = %d, want 0", d)
+	}
+	if d := issuedMinusRetired(t, m); d != 0 {
+		t.Fatalf("after a capped run leaving %d queued: issued - retired = %d, want 0", stale, d)
+	}
+}

@@ -44,10 +44,11 @@ const (
 	// representative contention interval, not a completed run, so the cap
 	// is deliberately far below a probe's budget.
 	DefaultScoreCycles = 200_000
-	// DefaultMaxChunk bounds how many pair co-runs one batched simulation
-	// pass evaluates (= chips of the borrowed machine). Chunks keep pooled
-	// machines modest while RunBatch still simulates a chunk's pairs
-	// chip-parallel.
+	// DefaultMaxChunk bounds how many pair co-runs one RunBatch pass
+	// evaluates, one pair per chip. A placement borrows a single machine of
+	// min(DefaultMaxChunk, pairs) chips and runs its chunks on it in turn,
+	// so pooled machines stay modest and of one shape while RunBatch still
+	// simulates a chunk's pairs chip-parallel.
 	DefaultMaxChunk = 8
 	// MaxWorkloads bounds a request's mix; pair scoring is quadratic.
 	MaxWorkloads = 32
@@ -331,12 +332,24 @@ func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 // two programs genuinely share one SMT core's pipeline and caches. The
 // score is the SMT-selection metric of the pair's counter snapshot.
 //
+// Every chunk runs on one borrowed machine of min(DefaultMaxChunk, pairs)
+// chips, reset between chunks, so pair k of a chunk always runs cold on
+// chip k and its score does not depend on the machine's size.
+//
 // Returns the scores gathered before any interruption plus the score
 // matrix; a context expiry surfaces as a non-nil error with partial
 // results, any other group failure as a hard error.
 func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api.PairScore, map[pair]float64, error) {
 	matrix := make(map[pair]float64, len(pairs))
 	var list []api.PairScore
+	if len(pairs) == 0 {
+		return list, matrix, nil
+	}
+	m, err := e.Pool.Get(in.Desc, min(DefaultMaxChunk, len(pairs)))
+	if err != nil {
+		return list, matrix, err
+	}
+	defer e.Pool.Put(m)
 	for start := 0; start < len(pairs); start += DefaultMaxChunk {
 		if err := ctx.Err(); err != nil {
 			return list, matrix, err
@@ -350,12 +363,10 @@ func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api
 			}
 			groups[k] = src
 		}
-		m, err := e.Pool.Get(in.Desc, len(cps))
-		if err != nil {
-			return list, matrix, err
+		if start > 0 {
+			m.Reset()
 		}
 		res, err := m.RunBatch(ctx, groups, 1, DefaultScoreCycles)
-		e.Pool.Put(m)
 		if err != nil {
 			return list, matrix, err
 		}
